@@ -4,7 +4,9 @@ Frobenius traces come from finite-field point counts: a naive O(p^2)
 enumeration (kept as the reference path) and an O(p) quadratic-character
 count for odd p.  Coefficients extend to all n <= M through the Hecke
 recursion at prime powers plus multiplicativity.  The truncated series
-is evaluated as sum a_n * exp(-s * ln n) in complex float64.
+sum a_n n^(-s) is evaluated in complex float64 through the complete
+multiplicativity of n^(-s): exp(-s ln p) at the primes p <= M only, and
+every composite n as p^(-s) * (n/p)^(-s) with p its smallest prime factor.
 """
 
 from __future__ import annotations
@@ -85,9 +87,10 @@ def count_points_fast(a: tuple[int, int, int, int, int], p: int) -> tuple[int, l
     b6 = (a3 * a3 + 4 * a6) % p
 
     x = np.arange(p, dtype=np.int64)
-    g = (4 * pow_mod(x, 3, p) + b2 * pow_mod(x, 2, p) + 2 * b4 * x + b6) % p
+    x2 = (x * x) % p
+    g = (4 * ((x2 * x) % p) + b2 * x2 + 2 * b4 * x + b6) % p
     qr = np.zeros(p, dtype=bool)
-    qr[(x * x) % p] = True
+    qr[x2] = True
 
     nonzero = g != 0
     total = int(p + np.count_nonzero(qr[g] & nonzero) - np.count_nonzero(~qr[g] & nonzero))
@@ -100,13 +103,6 @@ def count_points_fast(a: tuple[int, int, int, int, int], p: int) -> tuple[int, l
         if fx == 0:
             singular.append((x0, y0))
     return total - len(singular), singular
-
-
-def pow_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = x % p
-    for _ in range(e - 1):
-        out = (out * x) % p
-    return out
 
 
 def trace_of_frobenius(a: tuple[int, int, int, int, int], p: int, conductor: int) -> ReductionInfo:
@@ -137,15 +133,13 @@ def trace_of_frobenius(a: tuple[int, int, int, int, int], p: int, conductor: int
     return ReductionInfo(p, a_p, kind)
 
 
-def _primes_up_to(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for q in range(2, int(n ** 0.5) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = False
-    return np.flatnonzero(sieve).tolist()
+def _smallest_prime_factors(m: int) -> np.ndarray:
+    """spf[n] for 0 <= n <= m: the smallest prime factor of n >= 2, so
+    spf[p] == p exactly at the primes; spf[0] = 0 and spf[1] = 1."""
+    spf = np.arange(m + 1)
+    for q in range(math.isqrt(m), 1, -1):  # descending: the smallest divisor writes last
+        spf[q * q :: q] = q
+    return spf
 
 
 def build_an_table(
@@ -158,11 +152,8 @@ def build_an_table(
         raise ValueError("m must be >= 1")
     coeffs = [0] * (m + 1)
     coeffs[1] = 1
-    spf = list(range(m + 1))  # smallest prime factor
-    for p in _primes_up_to(m):
-        for multiple in range(p, m + 1, p):
-            if spf[multiple] == multiple and multiple != p:
-                spf[multiple] = p
+    spf = _smallest_prime_factors(m).tolist()
+    for p in (n for n in range(2, m + 1) if spf[n] == n):
         ap = trace_of_frobenius(a, p, conductor).a_p
         good = conductor % p != 0
         prev, cur = 1, ap  # a_{p^0}, a_{p^1}
@@ -189,35 +180,64 @@ def sigma0_sqrt_bound(n: int) -> float:
     return divisors * math.sqrt(n)
 
 
-_EVAL_CACHE: dict[int, np.ndarray] = {}
+_EVAL_CHUNK = 128  # points per block; fixed, so results do not depend on the batch
+_EVAL_CACHE: dict[int, tuple] = {}
 
 
-def log_n_vector(m: int) -> np.ndarray:
-    """ln 1 .. ln m as float64, cached (shared by evaluation and maps)."""
-    vec = _EVAL_CACHE.get(m)
-    if vec is None:
-        vec = np.log(np.arange(1, m + 1, dtype=np.float64))
-        vec.setflags(write=False)
-        _EVAL_CACHE[m] = vec
-    return vec
+def _eval_plan(m: int) -> tuple:
+    """Read-only evaluation plan for tables of length m, cached per m.
+
+    Returns (prime rows p-1, ln p, levels).  Level j holds the composites
+    n <= m with j + 2 prime factors counted with multiplicity, as index
+    arrays (n-1, spf(n)-1, n/spf(n)-1); both factors sit in lower levels.
+    """
+    plan = _EVAL_CACHE.get(m)
+    if plan is None:
+        spf = _smallest_prime_factors(m)
+        cofactor = np.arange(m + 1) // np.maximum(spf, 1)
+        omega = [0] * (m + 1)  # Omega(n); the cofactor of n is below n
+        for k, c in enumerate(cofactor.tolist()[2:], start=2):
+            omega[k] = omega[c] + 1
+        omega = np.array(omega)
+        primes = np.flatnonzero(omega == 1)
+        levels = []
+        for j in range(2, omega.max() + 1):
+            n = np.flatnonzero(omega == j)
+            levels.append((n - 1, spf[n] - 1, cofactor[n] - 1))
+        plan = (primes - 1, np.log(primes.astype(np.float64)), tuple(levels))
+        for arr in plan[:2] + sum(plan[2], ()):
+            arr.setflags(write=False)
+        _EVAL_CACHE[m] = plan
+    return plan
 
 
 def eval_truncated_l_many(table: AnTable, s: np.ndarray) -> np.ndarray:
-    """Vector evaluation of sum_{n<=m} a_n exp(-s ln n); non-finite results
-    mean the point escaped, they are passed through untouched."""
-    ln_n = log_n_vector(table.m)
+    """Vector evaluation of sum_{n<=m} a_n n^(-s); non-finite results mean
+    the point escaped, they are passed through untouched.
+
+    Per block of points, row n-1 of a (m, block) array holds n^(-s):
+    exp(-s ln p) at the primes, then each level of composites by one
+    gather-multiply of two lower rows.  The reduction runs as one
+    contiguous dot product per point, so its order is the same for every
+    block width.
+    """
+    prime_rows, ln_p, levels = _eval_plan(table.m)
     coeffs = np.asarray(table.coefficients, dtype=np.float64)
     s = np.asarray(s, dtype=np.complex128)
     out = np.empty(s.shape, dtype=np.complex128)
     flat = s.ravel()
     res = out.ravel()
-    chunk = 2048  # fixed block size keeps memory flat and results thread-independent
     with np.errstate(all="ignore"):
-        for start in range(0, flat.size, chunk):
-            block = flat[start : start + chunk]
-            terms = np.exp(np.multiply.outer(-block, ln_n))
-            terms *= coeffs
-            res[start : start + chunk] = terms.sum(axis=1)
+        for start in range(0, flat.size, _EVAL_CHUNK):
+            block = flat[start : start + _EVAL_CHUNK]
+            terms = np.empty((table.m, block.size), dtype=np.complex128)
+            terms[0] = 1
+            terms[prime_rows] = np.exp(np.multiply.outer(ln_p, -block))
+            for rows, left, right in levels:
+                terms[rows] = terms[left] * terms[right]
+            res[start : start + _EVAL_CHUNK] = np.einsum(
+                "kn,n->k", np.ascontiguousarray(terms.T), coeffs
+            )
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -227,9 +228,16 @@ def get_an_table(record: cat.CurveRecord, m: int, cache_dir) -> AnTable:
             return table
     table = build_an_table(record.a_invariants, record.conductor, m, record.label)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(serialize_an_table(table), encoding="ascii")
-    os.replace(tmp, path)
+    # a temp file of its own per writer, so concurrent builders of one
+    # table never rename each other's file away
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            fh.write(serialize_an_table(table))
+        os.replace(tmp, path)
+    except OSError:
+        os.unlink(tmp)
+        raise
     return table
 
 

@@ -11,6 +11,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lflow.errors import ConsistencyError, NumericError
 from lflow.lseries import (
@@ -18,6 +20,7 @@ from lflow.lseries import (
     GOOD,
     NONSPLIT,
     SPLIT,
+    _EVAL_CHUNK,
     AnTable,
     build_an_table,
     count_points,
@@ -369,3 +372,78 @@ def test_smoothed_matches_inline_formula():
         2 * an / n * math.exp(-x * n) for n, an in enumerate(t.coefficients, 1)
     )
     assert smoothed_l_at_one(t) == pytest.approx(direct, rel=1e-12)
+
+
+# ------------------------------------------------ evaluation property tests
+
+# 1, 2, primes, prime powers, and anything up to ~1200
+TRUNCATIONS = st.one_of(
+    st.sampled_from([1, 2, 3, 97, 997, 1193, 4, 128, 243, 961, 1024]),
+    st.integers(1, 1200),
+)
+# point counts on both sides of one and two evaluation blocks
+POINT_COUNTS = st.one_of(
+    st.integers(1, 2 * _EVAL_CHUNK + 2),
+    st.sampled_from([_EVAL_CHUNK - 1, _EVAL_CHUNK, _EVAL_CHUNK + 1, 2 * _EVAL_CHUNK + 1]),
+)
+
+
+@st.composite
+def tables_and_points(draw):
+    m = draw(TRUNCATIONS)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    coeffs = (1,) + tuple(
+        0 if rng.random() < 0.2 else rng.randint(-60, 60) for _ in range(m - 1)
+    )
+    pts = []
+    for _ in range(draw(POINT_COUNTS)):
+        if rng.random() < 0.1:  # far left: n^(-s) overflows for n >= 3
+            pts.append(complex(rng.uniform(-1000, -700), rng.uniform(-20, 20)))
+        else:
+            pts.append(complex(rng.uniform(-3, 6), rng.uniform(-20, 20)))
+    return AnTable("random", 1, m, coeffs), np.array(pts, dtype=np.complex128)
+
+
+def same_bits(x, y):
+    """Equal values with NaN matching NaN, real and imaginary parts apart."""
+    return np.array_equal(np.asarray(x).view(np.float64), np.asarray(y).view(np.float64), equal_nan=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables_and_points(), st.data())
+def test_property_scalar_equals_vector_and_batch_invariant(tp, data):
+    t, pts = tp
+    vec = eval_truncated_l_many(t, pts)
+    scalar = np.array([eval_truncated_l(t, complex(p)) for p in pts])
+    assert same_bits(vec, scalar)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(pts)), max_size=6)))
+    pieces = [eval_truncated_l_many(t, piece) for piece in np.split(pts, cuts)]
+    assert same_bits(vec, np.concatenate(pieces))
+    assert same_bits(eval_truncated_l_many(t, pts.reshape(1, -1))[0], vec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables_and_points())
+def test_property_conjugate_symmetry_is_exact(tp):
+    t, pts = tp
+    assert same_bits(
+        eval_truncated_l_many(t, pts.conjugate()), eval_truncated_l_many(t, pts).conjugate()
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables_and_points())
+def test_property_matches_direct_cmath_sum(tp):
+    t, pts = tp
+    got = eval_truncated_l_many(t, pts)
+    for s, value in list(zip(pts.tolist(), got.tolist()))[:12]:
+        try:
+            terms = [an * cmath.exp(-s * math.log(n)) for n, an in enumerate(t.coefficients, 1)]
+        except OverflowError:
+            continue
+        # error relative to the size of the terms, since the sum may cancel
+        scale = math.fsum(abs(x) for x in terms)
+        if not math.isfinite(scale):
+            continue
+        assert cmath.isfinite(value)
+        assert abs(value - sum(terms)) <= 1e-10 * scale

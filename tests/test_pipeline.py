@@ -186,6 +186,25 @@ def test_cache_corrupt_body_raises(fixture_records, tmp_path):
         get_an_table(rec, 20, tmp_path)
 
 
+def test_cache_concurrent_writers_of_one_table(fixture_catalog_path, tmp_path):
+    # a manifest that repeats one label makes every worker build and write
+    # the same table at once on a fresh cache
+    expected = serialize_an_table(build_an_table(CURVE_11A1, 11, 150, "11a1")).encode("ascii")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for run in range(40):
+            cache = tmp_path / f"cache{run}"
+            cfg = base_cfg(fixture_catalog_path, tmp_path, cache_dir=str(cache),
+                           threads=4, n_seeds=8, iterations=1)
+            rows = cmd_observe(["11a1"] * 8, cfg)
+            assert len(set(rows)) == 1
+            assert sorted(p.name for p in cache.iterdir()) == ["11a1.M150.an"]
+            assert cache_path(cache, "11a1", 150).read_bytes() == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_cache_missing_header(tmp_path):
     with pytest.raises(CacheError):
         parse_an_table("1 1\n2 -2\n")
