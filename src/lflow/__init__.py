@@ -24,7 +24,6 @@ from .catalog import (
 )
 from .dynamics import (
     CUMULATIVE,
-    DEFAULT_WINDOW,
     FINAL,
     NEVER,
     DirichletMap,
@@ -59,7 +58,6 @@ from .formal_group import (
 )
 from .lseries import (
     AnTable,
-    ReductionInfo,
     build_an_table,
     count_points,
     count_points_fast,

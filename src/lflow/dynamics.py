@@ -33,9 +33,6 @@ class Window(NamedTuple):
     im_max: float
 
 
-DEFAULT_WINDOW = Window(-1.5, 4.5, 0.0, 12.0)
-
-
 def _check_window(window) -> Window:
     w = Window(*map(float, window))
     if not (w.re_min < w.re_max and w.im_min < w.im_max):
@@ -69,7 +66,8 @@ class PolynomialMap:
         with np.errstate(all="ignore"):
             acc = np.full(z.shape, self.coefficients[-1], dtype=np.complex128)
             for c in reversed(self.coefficients[:-1]):
-                acc = acc * z + c
+                np.multiply(acc, z, out=acc)
+                acc += c
         return acc
 
     def __repr__(self):
@@ -95,26 +93,30 @@ def apply_map(spec, z: complex) -> complex:
     return complex(spec.apply_many(np.array([z], dtype=np.complex128))[0])
 
 
-def _escaped(z: np.ndarray, radius: float) -> np.ndarray:
-    bad = ~np.isfinite(z.real) | ~np.isfinite(z.imag)
-    with np.errstate(invalid="ignore"):
-        out = bad | (np.abs(z) > radius)
-    return out
+def _iterate(spec, z0: np.ndarray, radius: float, iterations: int, mode: str):
+    """(escape iterate per seed with NEVER = 0, survivors S_0..S_K).
 
-
-def _iterate_cumulative(spec, z0: np.ndarray, radius: float, iterations: int):
-    """Returns (escape iterate per seed with 0 = never, survivors S_0..S_K)."""
-    z = z0.astype(np.complex128, copy=True)
-    alive = np.arange(z0.size)
-    escape = np.zeros(z0.size, dtype=np.int32)
-    survivors = [z0.size]
+    Only the live orbits are carried, compacted after each test together
+    with their seed indices.  CUMULATIVE tests every iterate, FINAL only
+    the last one.  The test |z| <= radius is false for inf and nan; the
+    radius is capped at the largest float so that non-finite iterates
+    escape even for an infinite or nan radius.
+    """
+    if mode not in (CUMULATIVE, FINAL):
+        raise ValueError(f"unknown escape mode {mode!r}")
+    limit = np.fmin(radius, np.finfo(np.float64).max)
+    z = np.asarray(z0, dtype=np.complex128)
+    idx = np.arange(z.size)
+    escape = np.zeros(z.size, dtype=np.int32)
+    survivors = [z.size]
     for k in range(1, iterations + 1):
-        if alive.size:
-            z[alive] = spec.apply_many(z[alive])
-            gone = _escaped(z[alive], radius)
-            escape[alive[gone]] = k
-            alive = alive[~gone]
-        survivors.append(int(alive.size))
+        if z.size:
+            z = spec.apply_many(z)
+            if mode == CUMULATIVE or k == iterations:
+                keep = np.abs(z) <= limit
+                escape[idx[~keep]] = k
+                z, idx = z[keep], idx[keep]
+        survivors.append(z.size)
     return escape, survivors
 
 
@@ -124,15 +126,8 @@ def escape_iterate(spec, z0: complex, radius: float, iterations: int, mode: str 
     last iterate."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    z = np.array([z0], dtype=np.complex128)
-    if mode == CUMULATIVE:
-        escape, _ = _iterate_cumulative(spec, z, radius, iterations)
-        return int(escape[0])
-    if mode == FINAL:
-        for _ in range(iterations):
-            z = spec.apply_many(z)
-        return iterations if bool(_escaped(z, radius)[0]) else NEVER
-    raise ValueError(f"unknown escape mode {mode!r}")
+    escape, _ = _iterate(spec, np.array([z0], dtype=np.complex128), radius, iterations, mode)
+    return int(escape[0])
 
 
 @dataclass(frozen=True)
@@ -165,16 +160,8 @@ def escape_time_field(
     cols = w.re_min + (np.arange(width, dtype=np.float64) + 0.5) * (w.re_max - w.re_min) / width
     rows = w.im_max - (np.arange(height, dtype=np.float64) + 0.5) * (w.im_max - w.im_min) / height
     z0 = (cols[np.newaxis, :] + 1j * rows[:, np.newaxis]).ravel()
-    if mode == CUMULATIVE:
-        escape, _ = _iterate_cumulative(spec, z0, radius, iterations)
-    elif mode == FINAL:
-        z = z0.astype(np.complex128, copy=True)
-        for _ in range(iterations):
-            z = spec.apply_many(z)
-        escape = np.where(_escaped(z, radius), np.int32(iterations), np.int32(NEVER))
-    else:
-        raise ValueError(f"unknown escape mode {mode!r}")
-    values = escape.reshape(height, width).astype(np.int32)
+    escape, _ = _iterate(spec, z0, radius, iterations, mode)
+    values = escape.reshape(height, width)
     values.setflags(write=False)
     return EscapeField(values, w, float(radius), int(iterations))
 
@@ -250,7 +237,7 @@ def estimate_escape_rate(
         raise ValueError("iterations must be >= 1")
     w = _check_window(window)
     z0 = seed_cloud(w, n_seeds, master_seed)
-    _, survivors = _iterate_cumulative(spec, z0, radius, iterations)
+    _, survivors = _iterate(spec, z0, radius, iterations, CUMULATIVE)
     tau, r_squared = fit_decay(survivors)
     return EscapeRateEstimate(
         tau=tau,

@@ -17,6 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import catalog as cat
 from .dynamics import (
     CUMULATIVE,
@@ -254,8 +256,6 @@ class ObservationRow:
 
 
 def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
     return repr(float(x))
 
 
@@ -406,16 +406,12 @@ def pgm_bytes(field: EscapeField) -> bytes:
     escape at iterate k gets gray 55 + floor(200 * (K - k) / (K - 1))."""
     values = field.values
     k_max = field.iterations
-    denom = max(k_max - 1, 1)
+    if values.size and not (values.min() >= 0 and values.max() <= k_max):
+        raise ValueError(f"escape iterates must lie in 0..{k_max}")
+    gray = 55 + (200 * (k_max - np.arange(k_max + 1))) // max(k_max - 1, 1)
+    gray[NEVER] = 0
     header = f"P5\n{field.width} {field.height}\n255\n".encode("ascii")
-    gray = bytearray()
-    for row in values:
-        for v in row:
-            if v == NEVER:
-                gray.append(0)
-            else:
-                gray.append(55 + (200 * (k_max - int(v))) // denom)
-    return header + bytes(gray)
+    return header + gray.astype(np.uint8)[values].tobytes()
 
 
 def resolve_map_selector(selector: str, cfg: RunConfig, records=None):

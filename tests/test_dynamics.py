@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lflow.dynamics import (
     CUMULATIVE,
@@ -15,6 +17,7 @@ from lflow.dynamics import (
     PolynomialMap,
     ScaledExpMap,
     Window,
+    _iterate,
     apply_map,
     escape_iterate,
     escape_time_field,
@@ -122,8 +125,24 @@ def test_bad_mode_rejected():
 # --------------------------------------------------------------- pixel grids
 
 
+def escapes(z, radius):
+    """An iterate escapes unless its modulus is a finite number <= radius.
+    math.hypot returns inf where abs(complex) would raise OverflowError."""
+    m = math.hypot(z.real, z.imag)
+    return not (math.isfinite(m) and m <= radius)
+
+
+def scalar_escape(spec, z, radius, iterations, mode=CUMULATIVE):
+    """Per-seed reference loop over apply_map, independent of the kernel."""
+    for k in range(1, iterations + 1):
+        z = apply_map(spec, z)
+        if (mode == CUMULATIVE or k == iterations) and escapes(z, radius):
+            return k
+    return NEVER
+
+
 def python_field_oracle(spec, window, width, height, radius, iterations, mode=CUMULATIVE):
-    """Per-pixel reference: scalar escape_iterate at explicit pixel centers."""
+    """Per-pixel reference: the scalar loop at explicit pixel centers."""
     w = Window(*window)
     dre = (w.re_max - w.re_min) / width
     dim = (w.im_max - w.im_min) / height
@@ -131,7 +150,7 @@ def python_field_oracle(spec, window, width, height, radius, iterations, mode=CU
     for j in range(height):
         for i in range(width):
             z = complex(w.re_min + (i + 0.5) * dre, w.im_max - (j + 0.5) * dim)
-            out[j, i] = escape_iterate(spec, z, radius, iterations, mode=mode)
+            out[j, i] = scalar_escape(spec, z, radius, iterations, mode)
     return out
 
 
@@ -345,3 +364,61 @@ def test_estimate_deterministic_and_seed_sensitive():
     assert e1.survivors[0] == 400
     for a, b in zip(e1.survivors, e1.survivors[1:]):
         assert b <= a
+
+
+# ------------------------------------------------------ kernel properties
+
+
+@st.composite
+def maps_and_seeds(draw):
+    """A random low-degree polynomial, or lam*exp(z) with seeds far enough
+    right that exp overflows to inf and later iterates turn nan."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def uniform_complex(lo, hi):
+        return complex(rng.uniform(lo, hi), rng.uniform(lo, hi))
+
+    n = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        spec = PolynomialMap([uniform_complex(-2, 2) for _ in range(draw(st.integers(1, 5)))])
+        seeds = [uniform_complex(-2, 2) for _ in range(n)]
+    else:
+        spec = ScaledExpMap(uniform_complex(-2, 2))
+        seeds = [
+            complex(rng.choice([rng.uniform(-4, 4), rng.uniform(700, 720), rng.uniform(1e3, 1e308)]),
+                    rng.uniform(-4, 4))
+            for _ in range(n)
+        ]
+    return spec, np.array(seeds, dtype=np.complex128)
+
+
+KERNEL_RUNS = st.tuples(
+    maps_and_seeds(),
+    st.one_of(st.floats(0.5, 10), st.floats(10, 1e4), st.floats(1e4, 1e300), st.just(math.inf)),
+    st.integers(1, 12),
+    st.sampled_from([CUMULATIVE, FINAL]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(KERNEL_RUNS)
+def test_property_kernel_matches_scalar_loop(run):
+    (spec, seeds), radius, iterations, mode = run
+    escape, survivors = _iterate(spec, seeds, radius, iterations, mode)
+    want = [scalar_escape(spec, complex(z), radius, iterations, mode) for z in seeds]
+    assert escape.tolist() == want
+    assert survivors == [
+        int(np.count_nonzero((escape == NEVER) | (escape > k))) for k in range(iterations + 1)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(KERNEL_RUNS, st.data())
+def test_property_kernel_split_invariant(run, data):
+    (spec, seeds), radius, iterations, mode = run
+    cut = data.draw(st.integers(0, seeds.size))
+    escape, survivors = _iterate(spec, seeds, radius, iterations, mode)
+    head_escape, head_survivors = _iterate(spec, seeds[:cut], radius, iterations, mode)
+    tail_escape, tail_survivors = _iterate(spec, seeds[cut:], radius, iterations, mode)
+    assert np.array_equal(escape, np.concatenate([head_escape, tail_escape]))
+    assert survivors == [a + b for a, b in zip(head_survivors, tail_survivors)]

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lflow.dynamics import NEVER, EscapeField, Window, escape_iterate
 from lflow.errors import CacheError, ConfigError, LflowError, UndefinedCorrelationError
@@ -150,6 +152,16 @@ def test_cache_round_trip(tmp_path):
     assert parse_an_table(text) == t
 
 
+LABELS = st.from_regex(r"[0-9]{1,6}[a-z]{1,3}[0-9]{1,2}", fullmatch=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(LABELS, st.integers(1, 10**9), st.lists(st.integers(-(2**70), 2**70), max_size=300))
+def test_property_cache_round_trip(label, conductor, tail):
+    t = AnTable(label, conductor, len(tail) + 1, (1, *tail))
+    assert parse_an_table(serialize_an_table(t)) == t
+
+
 def test_cache_file_reused_without_rewrite(fixture_records, tmp_path):
     rec = next(r for r in fixture_records if r.label == "11a1")
     t1 = get_an_table(rec, 60, tmp_path)
@@ -226,6 +238,41 @@ def test_observations_csv_round_trip():
     assert ",inf," in lines[2]
     back = parse_observations_csv(text)
     assert back == rows  # repr round-trips every float exactly
+
+
+EXTREME_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(
+                st.tuples(
+                    LABELS,
+                    st.integers(1, 10**9),
+                    EXTREME_FLOATS,
+                    st.one_of(EXTREME_FLOATS, st.just(math.inf)),
+                    st.lists(st.integers(0, 10**6), min_size=k + 1, max_size=k + 1),
+                ),
+                max_size=8,
+            ),
+        )
+    )
+)
+def test_property_observations_csv_round_trip(case):
+    iterations, fields = case
+    rows = [ObservationRow(lb, n, l1, tau, tuple(s)) for lb, n, l1, tau, s in fields]
+    back = parse_observations_csv(observations_to_csv(rows, iterations))
+
+    def key(r):  # repr keeps -0.0 apart from 0.0 and matches nan with nan
+        return (r.label, r.conductor, repr(r.l1), repr(r.tau), r.survivors)
+
+    assert [key(r) for r in back] == [key(r) for r in rows]
 
 
 def test_observations_csv_rejects_malformed():
@@ -315,6 +362,7 @@ def test_report_block_round_trip():
     assert block["excluded_infinite"] == "1"
     assert block["reject"] in ("true", "false")
     assert float(block["r_s"]) == -1.0
+    assert float(block["t"]) == -math.inf
     assert float(block["p_one"]) == 0.0
     assert block["alpha"] == "0.05"
     assert "negative correlation" in text
@@ -344,6 +392,24 @@ def test_pgm_single_iteration_guard():
     field = EscapeField(values, Window(0, 1, 0, 1), 2.0, 1)
     data = pgm_bytes(field)
     assert data.endswith(bytes([0, 55]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_property_pgm_matches_per_pixel_formula(k_max, width, height, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, k_max + 1, size=(height, width), dtype=np.int32)
+    field = EscapeField(values, Window(0, 1, 0, 1), 2.0, k_max)
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
+    want = bytes(0 if v == NEVER else 55 + 200 * (k_max - v) // max(k_max - 1, 1) for v in values.flat)
+    assert pgm_bytes(field) == header + want
+
+
+def test_pgm_rejects_values_outside_zero_to_k():
+    for bad in (-1, 11, -300, 2**31 - 1):
+        values = np.array([[NEVER, 1], [bad, 10]], dtype=np.int32)
+        with pytest.raises(ValueError):
+            pgm_bytes(EscapeField(values, Window(0, 1, 0, 1), 2.0, 10))
 
 
 def test_render_zeta_matches_field_oracle(fixture_catalog_path, tmp_path):
