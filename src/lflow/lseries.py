@@ -1,12 +1,16 @@
 """Dirichlet coefficients of elliptic-curve L-series and truncated evaluation.
 
 Frobenius traces come from finite-field point counts: a naive O(p^2)
-enumeration (kept as the reference path) and an O(p) quadratic-character
-count for odd p.  Coefficients extend to all n <= M through the Hecke
-recursion at prime powers plus multiplicativity.  The truncated series
-sum a_n n^(-s) is evaluated in complex float64 through the complete
-multiplicativity of n^(-s): exp(-s ln p) at the primes p <= M only, and
-every composite n as p^(-s) * (n/p)^(-s) with p its smallest prime factor.
+enumeration (the reference path, also used at p = 2) and an O(p) count
+for odd p.  The odd-p count evaluates the completed-square cubic g(x) at
+every x in one int64 Horner pass, reduced mod p twice so that every
+intermediate stays below 5p^2, and reads the number of solutions off a
+histogram of g mod p at the nonzero squares.  Coefficients extend to all
+n <= M through the Hecke recursion at prime powers plus multiplicativity.
+The truncated series sum a_n n^(-s) is evaluated in complex float64
+through the complete multiplicativity of n^(-s): exp(-s ln p) at the
+primes p <= M only, and every composite n as p^(-s) * (n/p)^(-s) with p
+its smallest prime factor.
 """
 
 from __future__ import annotations
@@ -73,11 +77,18 @@ def count_points(a: tuple[int, int, int, int, int], p: int) -> tuple[int, list[t
 
 
 def count_points_fast(a: tuple[int, int, int, int, int], p: int) -> tuple[int, list[tuple[int, int]]]:
-    """Quadratic-character point count for odd p, O(p).
+    """Residue-histogram point count for odd p, O(p); p = 2 goes to the
+    naive count.
 
-    Completing the square gives (2y + a1*x + a3)^2 = 4x^3 + b2*x^2 + 2*b4*x + b6,
-    so each x contributes 1 + chi(g(x)) points, with singular candidates
-    only at roots of g.
+    Completing the square gives (2y + a1*x + a3)^2 = g(x) with
+    g(x) = 4x^3 + b2*x^2 + 2*b4*x + b6, so x has one point when g(x) = 0,
+    two when g(x) is a nonzero square and none otherwise.  g runs over all
+    x in one int64 Horner pass, reduced mod p after the quadratic step and
+    at the end, so every intermediate stays below 5p^2 (exact in int64 for
+    p below 1.3e9).  With counts the histogram of g mod p, the affine
+    solutions number counts[0] + 2 * sum of counts[h^2 mod p] over
+    h = 1..(p-1)/2, which hits each nonzero square once.  Singular points
+    can only sit over the roots of g, searched only when counts[0] > 0.
     """
     if p == 2:
         return count_points(a, p)
@@ -87,21 +98,27 @@ def count_points_fast(a: tuple[int, int, int, int, int], p: int) -> tuple[int, l
     b6 = (a3 * a3 + 4 * a6) % p
 
     x = np.arange(p, dtype=np.int64)
-    x2 = (x * x) % p
-    g = (4 * ((x2 * x) % p) + b2 * x2 + 2 * b4 * x + b6) % p
-    qr = np.zeros(p, dtype=bool)
-    qr[x2] = True
-
-    nonzero = g != 0
-    total = int(p + np.count_nonzero(qr[g] & nonzero) - np.count_nonzero(~qr[g] & nonzero))
+    g = 4 * x
+    g += b2
+    g *= x
+    g += 2 * b4
+    g -= (g // p) * p
+    g *= x
+    g += b6
+    g -= (g // p) * p
+    counts = np.bincount(g, minlength=p)
+    squares = x[1 : (p + 1) // 2] ** 2
+    squares -= (squares // p) * p
+    total = int(counts[0]) + 2 * int(counts[squares].sum())
 
     singular: list[tuple[int, int]] = []
-    inv2 = pow(2, -1, p)
-    for x0 in np.flatnonzero(g == 0).tolist():
-        y0 = (-(a1 * x0 + a3) * inv2) % p
-        fx = (a1 * y0 - (3 * x0 * x0 + 2 * a2 * x0 + a4)) % p
-        if fx == 0:
-            singular.append((x0, y0))
+    if counts[0]:
+        inv2 = pow(2, -1, p)
+        for x0 in np.flatnonzero(g == 0).tolist():
+            y0 = (-(a1 * x0 + a3) * inv2) % p
+            fx = (a1 * y0 - (3 * x0 * x0 + 2 * a2 * x0 + a4)) % p
+            if fx == 0:
+                singular.append((x0, y0))
     return total - len(singular), singular
 
 

@@ -148,8 +148,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("n_seeds must be >= 1")
     if cfg.iterations < 1:
         raise ConfigError("iterations must be >= 1")
-    if cfg.radius <= 0:
-        raise ConfigError("radius must be positive")
+    if not (math.isfinite(cfg.radius) and cfg.radius > 0):
+        raise ConfigError("radius must be a finite positive number")
     if not 0 < cfg.alpha < 1:
         raise ConfigError("alpha must lie strictly between 0 and 1")
     if cfg.bad_prime < 2:

@@ -2,7 +2,8 @@
 
 The oracle here is deliberately primitive: an independent O(p^2) point count
 written inline plus the definitional Euler-product recursion, sharing no code
-with src/.  Everything else must agree with it.
+with src/.  Everything else must agree with it.  At primes too large for the
+O(p^2) count, an O(p) Euler-criterion count in Python ints stands in.
 """
 
 import cmath
@@ -144,6 +145,102 @@ def test_fast_count_agrees_with_naive_through_97():
             fs, fsing = count_points_fast(a, p)
             assert ns == fs, (a, p)
             assert sorted(nsing) == sorted(fsing), (a, p)
+
+
+ODD_PRIMES_BELOW_300 = [p for p in range(3, 300) if all(p % q for q in range(2, p))]
+
+
+def change_coordinates(a, r, s, t):
+    """a-invariants of the same curve after x -> x + r, y -> y + s*x + t."""
+    a1, a2, a3, a4, a6 = a
+    return (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    )
+
+
+@st.composite
+def models_mod_odd_primes(draw):
+    """(a-invariants, odd p < 300): random models, models singular mod p and
+    non-minimal models (every a_i divisible by p^i, a cusp mod p)."""
+    p = draw(st.sampled_from(ODD_PRIMES_BELOW_300))
+    kind = draw(st.sampled_from(["random", "singular", "non-minimal"]))
+    if kind == "random":
+        return tuple(draw(st.integers(-(10**9), 10**9)) for _ in range(5)), p
+    if kind == "non-minimal":
+        base = [draw(st.integers(-9, 9)) for _ in range(5)]
+        return tuple(ai * p**i for ai, i in zip(base, (1, 2, 3, 4, 6))), p
+    # y^2 + a1*x*y = x^3 + a2*x^2 has a node or cusp at the origin; move it
+    # by a random change of coordinates, then lift each a_i by multiples of p
+    a1, a2 = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+    r, s, t = (draw(st.integers(0, p - 1)) for _ in range(3))
+    moved = change_coordinates((a1, a2, 0, 0, 0), r, s, t)
+    lifts = (draw(st.integers(-(10**9) // p, 10**9 // p - 1)) for _ in range(5))
+    return tuple(ai % p + k * p for ai, k in zip(moved, lifts)), p
+
+
+@settings(max_examples=80, deadline=None)
+@given(models_mod_odd_primes())
+def test_property_fast_count_matches_oracle(model):
+    a, p = model
+    smooth, singular = oracle_counts(a, p)
+    fast_smooth, fast_singular = count_points_fast(a, p)
+    assert fast_smooth == smooth
+    assert sorted(fast_singular) == sorted(singular)
+
+
+def euler_counts(a, p):
+    """Smooth/singular affine counts for odd p by Euler's criterion on each
+    x in Python ints: over x, (2y + a1*x + a3)^2 = v has one root y when
+    v = 0 and two when v^((p-1)/2) = 1."""
+    a1, a2, a3, a4, a6 = (ai % p for ai in a)
+    half = (p + 1) // 2  # the inverse of 2 mod p
+    smooth = 0
+    singular = []
+    for x in range(p):
+        v = (4 * x**3 + (a1 * a1 + 4 * a2) * x * x + 2 * (2 * a4 + a1 * a3) * x + a3 * a3 + 4 * a6) % p
+        if v == 0:
+            y = -(a1 * x + a3) * half % p
+            if (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p == 0:
+                singular.append((x, y))
+            else:
+                smooth += 1
+        elif pow(v, (p - 1) // 2, p) == 1:
+            smooth += 2
+    return smooth, singular
+
+
+@pytest.mark.parametrize("p", [9973, 65537])
+def test_fast_count_matches_euler_oracle_at_large_primes(p):
+    # 5p^2 passes 2^31 at p = 65537, so an int32 kernel overflows there
+    for a in (CURVE_11A1, CURVE_37A1, (0, 0, 0, -(10**9), 10**9 - 7)):
+        smooth, singular = count_points_fast(a, p)
+        assert (smooth, sorted(singular)) == euler_counts(a, p), a
+
+
+def test_supersingular_count_where_an_unreduced_cubic_overflows():
+    # y^2 = x^3 - x (conductor 32) has a_p = 0 at every p = 3 mod 4.  4p^3
+    # passes 2^63 at this prime, so the Horner pass must reduce after its
+    # quadratic step for the count to come out exact
+    p = 2097211
+    assert p % 4 == 3
+    assert trace_of_frobenius((0, 0, 0, -1, 0), p, 32).a_p == 0
+
+
+def test_trace_matches_euler_oracle_below_1000(fixture_records):
+    primes = [p for p in range(3, 1001) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    picks = [fixture_records[i * len(fixture_records) // 10] for i in range(10)]
+    for rec in picks:
+        n = rec.conductor
+        assert trace_of_frobenius(rec.a_invariants, 2, n).a_p == oracle_ap(rec.a_invariants, 2, n)
+        for p in primes:
+            smooth, singular = euler_counts(rec.a_invariants, p)
+            assert bool(singular) == (n % p == 0), (rec.label, p)
+            expected = p - smooth - (1 if n % p == 0 else 0)
+            assert trace_of_frobenius(rec.a_invariants, p, n).a_p == expected, (rec.label, p)
 
 
 # ------------------------------------------------------------------- traces

@@ -140,6 +140,9 @@ def test_config_validation():
         build_config(flag_overrides={"escape_mode": "both"}, environ={})
     with pytest.raises(ConfigError):
         build_config(preset="nope", environ={})
+    for radius in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="radius must be a finite positive number"):
+            build_config(flag_overrides={"radius": radius}, environ={})
 
 
 # --------------------------------------------------------------------- cache
@@ -583,6 +586,12 @@ def test_cli_errors_exit_2(fixture_catalog_path, tmp_path):
     )
     assert r3.returncode == 2, r3.stderr
     assert "error:" in r3.stderr
+
+    for radius in ("nan", "inf"):
+        r4 = run_cli(["render", "exp:1", "--radius", radius, "-o", str(tmp_path / "x.pgm")], tmp_path)
+        assert r4.returncode == 2, r4.stderr
+        assert r4.stderr.startswith("error: radius must be a finite positive number")
+        assert not (tmp_path / "x.pgm").exists()
 
 
 def test_cli_coeffs_prints_cache_format(fixture_catalog_path, tmp_path):
