@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline
@@ -11,150 +12,116 @@ from .errors import LflowError
 from .pipeline import RunConfig, build_config
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--catalog", metavar="PATH", help="allcurves-style catalog (or $LFLOW_CATALOG)")
-    p.add_argument("--cache-dir", metavar="DIR", help="coefficient cache directory (or $LFLOW_CACHE)")
+def _config_flags(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument("--config", metavar="PATH", help="key=value config file")
     p.add_argument("--preset", choices=sorted(pipeline.PRESETS), help="named parameter bundle")
-    p.add_argument("--bad-prime", type=int, metavar="P")
-    p.add_argument("--conductor-min", type=int, metavar="N")
-    p.add_argument("--conductor-max", type=int, metavar="N")
-    p.add_argument("--size", type=int, metavar="COUNT", help="sample size")
-    p.add_argument("--strata", type=int, metavar="COUNT", help="conductor strata (default: sample size)")
-    p.add_argument("--coefficients", type=int, metavar="M", help="series truncation length")
-    p.add_argument("--window", type=float, nargs=4, metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
-    p.add_argument("--n-seeds", type=int, metavar="COUNT")
-    p.add_argument("--radius", type=float, metavar="R", help="escape radius")
-    p.add_argument("--iterations", type=int, metavar="K")
-    p.add_argument("--master-seed", type=int, metavar="SEED")
-    p.add_argument("--alpha", type=float, metavar="LEVEL")
-    p.add_argument("--threads", type=int, metavar="COUNT", help="worker threads (0 = auto)")
-    p.add_argument("--smoothed", action="store_const", const=True, default=None,
-                   help="report the exponentially smoothed L(1) instead of the raw truncation")
-    p.add_argument("--escape-mode", choices=["cumulative", "final"])
-
-
-_FLAG_TO_FIELD = {
-    "catalog": "catalog_path",
-    "cache_dir": "cache_dir",
-    "bad_prime": "bad_prime",
-    "conductor_min": "conductor_lo",
-    "conductor_max": "conductor_hi",
-    "size": "size",
-    "strata": "strata",
-    "coefficients": "m",
-    "n_seeds": "n_seeds",
-    "radius": "radius",
-    "iterations": "iterations",
-    "master_seed": "master_seed",
-    "alpha": "alpha",
-    "threads": "threads",
-    "smoothed": "smoothed",
-    "escape_mode": "escape_mode",
-}
+    for f in fields(RunConfig):
+        meta = f.metadata
+        if meta["flags"] and meta["command"] in (None, command):
+            p.add_argument(*meta["flags"], dest=f.name, metavar=meta["metavar"],
+                           help=meta["help"], **meta["cli"])
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
     overrides = {}
-    for flag, field in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    if getattr(args, "window", None) is not None:
-        overrides["window"] = tuple(args.window)
-    if getattr(args, "output", None) is not None and args.command == "reproduce":
-        overrides["output_dir"] = args.output
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)  # nargs options arrive as lists
+        overrides[f.name] = tuple(value) if isinstance(value, list) else value
     return build_config(preset=args.preset, config_file=args.config, flag_overrides=overrides)
+
+
+# A handler takes the parsed arguments and the run config and returns the
+# text or bytes the command produces and the file they go to (None: stdout).
+
+
+def _sample(args, cfg):
+    manifest, eligible = pipeline.cmd_sample(cfg)
+    print(f"eligible classes: {eligible}", file=sys.stderr)
+    return manifest, args.output
+
+
+def _coeffs(args, cfg):
+    return pipeline.cmd_coeffs(args.label, cfg), None
+
+
+def _observe(args, cfg):
+    rows = pipeline.cmd_observe(pipeline.parse_manifest(pipeline.read_text(args.manifest)), cfg)
+    return pipeline.observations_to_csv(rows, cfg.iterations), args.output
+
+
+def _correlate(args, cfg):
+    return pipeline.cmd_correlate(pipeline.read_text(args.csv), cfg.alpha), args.output
+
+
+def _render(args, cfg):
+    return pipeline.cmd_render(args.selector, cfg, args.width, args.height), args.output
+
+
+def _nonic(args, cfg):
+    return "".join(f"{c}\n" for c in pipeline.cmd_nonic(args.label, cfg)), None
+
+
+def _reproduce(args, cfg):
+    result = pipeline.cmd_reproduce(cfg)
+    print(f"artifacts written to {result['output_dir']}", file=sys.stderr)
+    return pipeline.format_report(result["report"], result["excluded"]), None
+
+
+def _arg(*names, **kwargs):
+    return names, kwargs
+
+
+def _output(metavar: str, help: str, **kwargs):
+    return _arg("-o", "--output", metavar=metavar, help=help, **kwargs)
+
+
+# command: (help, its own arguments, handler)
+COMMANDS = {
+    "sample": ("stratified sample of eligible curves",
+               [_output("FILE", "manifest file (default: stdout)")], _sample),
+    "coeffs": ("build and cache Dirichlet coefficients for a curve", [_arg("label")], _coeffs),
+    "observe": ("L(1) and escape rate for each manifest curve",
+                [_arg("manifest", help="file with one curve label per line"),
+                 _output("FILE", "observations CSV (default: stdout)")], _observe),
+    "correlate": ("rank correlation report from an observations CSV",
+                  [_arg("csv", help="observations CSV file"),
+                   _output("FILE", "report file (default: stdout)")], _correlate),
+    "render": ("escape-time image of a map",
+               [_arg("selector", help="curve label | nonic:<label> | exp:<lambda> | zeta"),
+                _output("FILE", "output PGM (P5)", required=True),
+                _arg("--width", type=int, default=320), _arg("--height", type=int, default=240)],
+               _render),
+    "nonic": ("print the 10 integer coefficients of a curve's nonic", [_arg("label")], _nonic),
+    "reproduce": ("sample + observe + correlate into an output directory", [], _reproduce),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample", help="stratified sample of eligible curves")
-    _common_flags(p)
-    p.add_argument("-o", "--output", metavar="FILE", help="manifest file (default: stdout)")
-
-    p = sub.add_parser("coeffs", help="build and cache Dirichlet coefficients for a curve")
-    _common_flags(p)
-    p.add_argument("label")
-
-    p = sub.add_parser("observe", help="L(1) and escape rate for each manifest curve")
-    _common_flags(p)
-    p.add_argument("manifest", help="file with one curve label per line")
-    p.add_argument("-o", "--output", metavar="FILE", help="observations CSV (default: stdout)")
-
-    p = sub.add_parser("correlate", help="rank correlation report from an observations CSV")
-    _common_flags(p)
-    p.add_argument("csv", help="observations CSV file")
-    p.add_argument("-o", "--output", metavar="FILE", help="report file (default: stdout)")
-
-    p = sub.add_parser("render", help="escape-time image of a map")
-    _common_flags(p)
-    p.add_argument("selector", help="curve label | nonic:<label> | exp:<lambda> | zeta")
-    p.add_argument("-o", "--output", metavar="FILE", required=True, help="output PGM (P5)")
-    p.add_argument("--width", type=int, default=320)
-    p.add_argument("--height", type=int, default=240)
-
-    p = sub.add_parser("nonic", help="print the 10 integer coefficients of a curve's nonic")
-    _common_flags(p)
-    p.add_argument("label")
-
-    p = sub.add_parser("reproduce", help="sample + observe + correlate into an output directory")
-    _common_flags(p)
-    p.add_argument("-o", "--output", metavar="DIR", help="output directory")
-
+    for command, (help_text, arguments, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        _config_flags(p, command)
+        for names, kwargs in arguments:
+            p.add_argument(*names, **kwargs)
     return parser
+
+
+def _emit(data, path) -> None:
+    if path is None:
+        sys.stdout.write(data)
+    elif isinstance(data, bytes):
+        Path(path).write_bytes(data)
+    else:
+        Path(path).write_text(data, encoding="ascii")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _, _, handler = COMMANDS[args.command]
     try:
-        cfg = _config_from(args)
-        if args.command == "sample":
-            manifest, eligible = pipeline.cmd_sample(cfg)
-            print(f"eligible classes: {eligible}", file=sys.stderr)
-            if args.output:
-                Path(args.output).write_text(manifest, encoding="ascii")
-            else:
-                sys.stdout.write(manifest)
-        elif args.command == "coeffs":
-            records = pipeline.load_catalog_for(cfg)
-            record = next((r for r in records if r.label == args.label), None)
-            if record is None:
-                raise LflowError(f"label {args.label!r} not found in catalog")
-            table = pipeline.get_an_table(record, cfg.m, cfg.cache_dir)
-            sys.stdout.write(pipeline.serialize_an_table(table))
-        elif args.command == "observe":
-            labels = pipeline.parse_manifest(Path(args.manifest).read_text(encoding="ascii"))
-            rows = pipeline.cmd_observe(labels, cfg)
-            csv_text = pipeline.observations_to_csv(rows, cfg.iterations)
-            if args.output:
-                Path(args.output).write_text(csv_text, encoding="ascii")
-            else:
-                sys.stdout.write(csv_text)
-        elif args.command == "correlate":
-            report = pipeline.cmd_correlate(Path(args.csv).read_text(encoding="ascii"), cfg.alpha)
-            if args.output:
-                Path(args.output).write_text(report, encoding="ascii")
-            else:
-                sys.stdout.write(report)
-        elif args.command == "render":
-            data = pipeline.cmd_render(args.selector, cfg, args.width, args.height)
-            Path(args.output).write_bytes(data)
-        elif args.command == "nonic":
-            for coefficient in pipeline.cmd_nonic(args.label, cfg):
-                print(coefficient)
-        elif args.command == "reproduce":
-            result = pipeline.cmd_reproduce(cfg)
-            sys.stdout.write(
-                pipeline.format_report(result["report"], result["excluded"])
-            )
-            print(f"artifacts written to {result['output_dir']}", file=sys.stderr)
-    except LflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        _emit(*handler(args, _config_from(args)))
+    except (LflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

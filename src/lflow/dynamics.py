@@ -203,20 +203,11 @@ def fit_decay(survivors) -> tuple[float, float]:
     return (0.0 if slope == 0.0 else -slope), r_squared
 
 
-class RateParams(NamedTuple):
-    window: Window
-    n_seeds: int
-    radius: float
-    iterations: int
-    master_seed: int
-
-
 @dataclass(frozen=True)
 class EscapeRateEstimate:
     tau: float
     survivors: tuple[int, ...]
     r_squared: float
-    params: RateParams
 
 
 def seed_cloud(window, n_seeds: int, master_seed: int) -> np.ndarray:
@@ -235,13 +226,7 @@ def estimate_escape_rate(
         raise ValueError("n_seeds must be >= 1")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    w = _check_window(window)
-    z0 = seed_cloud(w, n_seeds, master_seed)
+    z0 = seed_cloud(window, n_seeds, master_seed)
     _, survivors = _iterate(spec, z0, radius, iterations, CUMULATIVE)
     tau, r_squared = fit_decay(survivors)
-    return EscapeRateEstimate(
-        tau=tau,
-        survivors=tuple(survivors),
-        r_squared=r_squared,
-        params=RateParams(w, int(n_seeds), float(radius), int(iterations), int(master_seed)),
-    )
+    return EscapeRateEstimate(tau, tuple(survivors), r_squared)

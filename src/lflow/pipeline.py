@@ -14,7 +14,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,6 @@ from .dynamics import (
     EscapeField,
     PolynomialMap,
     ScaledExpMap,
-    Window,
     escape_time_field,
     estimate_escape_rate,
 )
@@ -41,26 +40,72 @@ CATALOG_ENV = "LFLOW_CATALOG"
 CACHE_ENV = "LFLOW_CACHE"
 
 
+def _parse_window(raw: str) -> tuple[float, float, float, float]:
+    parts = raw.split(",")
+    if len(parts) != 4:
+        raise ValueError("window needs 4 comma-separated numbers")
+    return tuple(float(p) for p in parts)
+
+
+def _parse_bool(raw: str) -> bool:
+    word = raw.lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError("expected true or false")
+    return word in ("1", "true", "yes", "on")
+
+
+def _at_least(n: int):
+    return lambda v: v >= n, f"be >= {n}"
+
+
+def _setting(default, parse, *flags, metavar=None, help=None, must=None, command=None, **cli):
+    """A RunConfig field.  `parse` reads its config-file value, and `must`
+    is a (test, rule) pair that its value has to pass.  `flags` are its
+    command-line options, offered by every command or by `command` only;
+    argparse reads them with `type=parse` unless `cli` gives other
+    add_argument keywords."""
+    meta = dict(parse=parse, flags=flags, metavar=metavar, help=help, must=must, command=command)
+    return field(default=default, metadata={**meta, "cli": cli or {"type": parse}})
+
+
 @dataclass
 class RunConfig:
-    catalog_path: str = ""
-    cache_dir: str = "an-cache"
-    output_dir: str = "lflow-out"
-    bad_prime: int = 3
-    conductor_lo: int = 11
-    conductor_hi: int = 1000
-    size: int = 30
-    strata: int = 0  # 0: one stratum per sampled curve
-    m: int = 1000
-    window: tuple[float, float, float, float] = (-1.5, 4.5, 0.0, 12.0)
-    n_seeds: int = 25000
-    radius: float = 100000.0
-    iterations: int = 10
-    master_seed: int = 1
-    alpha: float = 0.001
-    threads: int = 0  # 0: auto
-    smoothed: bool = False
-    escape_mode: str = CUMULATIVE
+    catalog_path: str = _setting("", str, "--catalog", metavar="PATH",
+                                 help="allcurves-style catalog (or $LFLOW_CATALOG)")
+    cache_dir: str = _setting("an-cache", str, "--cache-dir", metavar="DIR",
+                              help="coefficient cache directory (or $LFLOW_CACHE)")
+    output_dir: str = _setting("lflow-out", str, "-o", "--output", metavar="DIR",
+                               help="output directory", command="reproduce")
+    bad_prime: int = _setting(3, int, "--bad-prime", metavar="P",
+                              must=(lambda p: p >= 2, "be a prime >= 2"))
+    conductor_lo: int = _setting(11, int, "--conductor-min", metavar="N")
+    conductor_hi: int = _setting(1000, int, "--conductor-max", metavar="N")
+    size: int = _setting(30, int, "--size", metavar="COUNT", help="sample size")
+    strata: int = _setting(0, int, "--strata", metavar="COUNT", must=_at_least(0),
+                           help="conductor strata (default: sample size)")
+    m: int = _setting(1000, int, "--coefficients", metavar="M", must=_at_least(1),
+                      help="series truncation length")
+    window: tuple[float, float, float, float] = _setting(
+        (-1.5, 4.5, 0.0, 12.0), _parse_window, "--window", type=float, nargs=4,
+        metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"),
+        must=(lambda w: w[0] < w[1] and w[2] < w[3], "have RE_MIN < RE_MAX and IM_MIN < IM_MAX"))
+    n_seeds: int = _setting(25000, int, "--n-seeds", metavar="COUNT", must=_at_least(1))
+    radius: float = _setting(
+        100000.0, float, "--radius", metavar="R", help="escape radius",
+        must=(lambda r: math.isfinite(r) and r > 0, "be a finite positive number"))
+    iterations: int = _setting(10, int, "--iterations", metavar="K", must=_at_least(1))
+    master_seed: int = _setting(1, int, "--master-seed", metavar="SEED")
+    alpha: float = _setting(0.001, float, "--alpha", metavar="LEVEL",
+                            must=(lambda a: 0 < a < 1, "lie strictly between 0 and 1"))
+    threads: int = _setting(0, int, "--threads", metavar="COUNT", must=_at_least(0),
+                            help="worker threads (0 = auto)")
+    smoothed: bool = _setting(
+        False, _parse_bool, "--smoothed", action="store_const", const=True,
+        help="report the exponentially smoothed L(1) instead of the raw truncation")
+    escape_mode: str = _setting(
+        CUMULATIVE, str, "--escape-mode", choices=[CUMULATIVE, FINAL],
+        help="test every iterate or only the last (render only)",
+        must=(lambda v: v in (CUMULATIVE, FINAL), f"be {CUMULATIVE!r} or {FINAL!r}"))
 
 
 PRESETS: dict[str, dict] = {
@@ -70,45 +115,33 @@ PRESETS: dict[str, dict] = {
     "smoke": {"size": 3, "n_seeds": 100, "m": 200},
 }
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
-def _coerce(name: str, raw: str):
-    if name not in _FIELD_TYPES:
-        raise ConfigError(f"unknown config key {name!r}")
-    if name == "window":
-        parts = raw.split(",")
-        if len(parts) != 4:
-            raise ConfigError(f"window needs 4 comma-separated numbers, got {raw!r}")
-        return tuple(float(p) for p in parts)
-    if name == "smoothed":
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"bad boolean {raw!r} for smoothed")
-    if name in ("catalog_path", "cache_dir", "output_dir", "escape_mode"):
-        return raw
-    if name in ("radius", "alpha"):
-        return float(raw)
+def read_text(path, encoding: str = "ascii") -> str:
+    """A user's input file; bytes that do not decode are a user error."""
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value {raw!r} for {name}: {exc}") from None
+        return Path(path).read_text(encoding=encoding)
+    except UnicodeDecodeError as exc:
+        raise LflowError(f"{path}: {exc}") from None
 
 
 def parse_config_file(path) -> dict:
     """Plain key=value lines; blank lines and #-comments are skipped."""
     overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            overrides[key.strip()] = _coerce(key.strip(), value.strip())
+    for lineno, raw in enumerate(read_text(path, "utf-8").splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno}: expected key=value, got {line!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in _FIELDS:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            overrides[key] = _FIELDS[key].metadata["parse"](value)
+        except ValueError as exc:
+            raise ConfigError(f"bad value {value!r} for {key}: {exc}") from None
     return overrides
 
 
@@ -118,47 +151,35 @@ def build_config(
     flag_overrides: dict | None = None,
     environ=None,
 ) -> RunConfig:
-    """Layering: defaults, then preset, then config file, then flags.
-    LFLOW_CATALOG / LFLOW_CACHE fill paths not set by any layer."""
+    """Layering: defaults, then preset, then config file, then flags.  A
+    path that no layer sets comes from LFLOW_CATALOG / LFLOW_CACHE when
+    that variable is non-empty."""
     environ = os.environ if environ is None else environ
-    cfg = RunConfig()
+    settings = {}
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-        cfg = replace(cfg, **PRESETS[preset])
+        settings.update(PRESETS[preset])
     if config_file:
-        cfg = replace(cfg, **parse_config_file(config_file))
-    if flag_overrides:
-        unknown = set(flag_overrides) - set(_FIELD_TYPES)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = replace(cfg, **{k: v for k, v in flag_overrides.items() if v is not None})
-    if not cfg.catalog_path and environ.get(CATALOG_ENV):
-        cfg.catalog_path = environ[CATALOG_ENV]
-    if environ.get(CACHE_ENV) and "cache_dir" not in (flag_overrides or {}):
-        cfg.cache_dir = environ[CACHE_ENV]
+        settings.update(parse_config_file(config_file))
+    flag_overrides = flag_overrides or {}
+    unknown = set(flag_overrides) - set(_FIELDS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    settings.update((k, v) for k, v in flag_overrides.items() if v is not None)
+    for name, var in (("catalog_path", CATALOG_ENV), ("cache_dir", CACHE_ENV)):
+        if name not in settings and environ.get(var):
+            settings[name] = environ[var]
+    cfg = RunConfig(**settings)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.m < 1:
-        raise ConfigError("m must be >= 1")
-    if cfg.n_seeds < 1:
-        raise ConfigError("n_seeds must be >= 1")
-    if cfg.iterations < 1:
-        raise ConfigError("iterations must be >= 1")
-    if not (math.isfinite(cfg.radius) and cfg.radius > 0):
-        raise ConfigError("radius must be a finite positive number")
-    if not 0 < cfg.alpha < 1:
-        raise ConfigError("alpha must lie strictly between 0 and 1")
-    if cfg.bad_prime < 2:
-        raise ConfigError("bad_prime must be a prime >= 2")
-    if cfg.escape_mode not in (CUMULATIVE, FINAL):
-        raise ConfigError(f"escape_mode must be {CUMULATIVE!r} or {FINAL!r}")
-    re_min, re_max, im_min, im_max = cfg.window
-    if not (re_min < re_max and im_min < im_max):
-        raise ConfigError(f"degenerate window {cfg.window}")
+    for f in fields(cfg):
+        value, must = getattr(cfg, f.name), f.metadata["must"]
+        if must and not must[0](value):
+            raise ConfigError(f"{f.name} must {must[1]}, got {value!r}")
 
 
 def load_catalog_for(cfg: RunConfig) -> list[cat.CurveRecord]:
@@ -285,15 +306,18 @@ def parse_observations_csv(text: str) -> list[ObservationRow]:
         parts = ln.split(",")
         if len(parts) != len(header):
             raise LflowError(f"CSV row has {len(parts)} fields, expected {len(header)}: {ln!r}")
-        rows.append(
-            ObservationRow(
-                label=parts[0],
-                conductor=int(parts[1]),
-                l1=float(parts[2]),
-                tau=float(parts[3]),
-                survivors=tuple(int(s) for s in parts[4 : 4 + n_surv]),
+        try:
+            rows.append(
+                ObservationRow(
+                    label=parts[0],
+                    conductor=int(parts[1]),
+                    l1=float(parts[2]),
+                    tau=float(parts[3]),
+                    survivors=tuple(int(s) for s in parts[4 : 4 + n_surv]),
+                )
             )
-        )
+        except ValueError as exc:
+            raise LflowError(f"bad CSV row {ln!r}: {exc}") from None
     return rows
 
 
@@ -317,6 +341,12 @@ def cmd_sample(cfg: RunConfig) -> tuple[str, int]:
     return manifest, eligible
 
 
+def cmd_coeffs(label: str, cfg: RunConfig) -> str:
+    """The curve's a_n table, built or read from the cache, in cache format."""
+    record = _record_by_label(load_catalog_for(cfg), label)
+    return serialize_an_table(get_an_table(record, cfg.m, cfg.cache_dir))
+
+
 def parse_manifest(text: str) -> list[str]:
     labels = [ln.strip() for ln in text.splitlines() if ln.strip()]
     for lb in labels:
@@ -338,8 +368,15 @@ def _observe_one(record: cat.CurveRecord, cfg: RunConfig) -> ObservationRow:
     return ObservationRow(record.label, record.conductor, l1, est.tau, est.survivors)
 
 
+def _require_cumulative(cfg: RunConfig) -> None:
+    # escape rates always test every iterate; only render offers FINAL
+    if cfg.escape_mode != CUMULATIVE:
+        raise ConfigError(f"escape_mode {cfg.escape_mode!r} applies to render only")
+
+
 def cmd_observe(manifest_labels: list[str], cfg: RunConfig) -> list[ObservationRow]:
     """One observation row per manifest label, in manifest order."""
+    _require_cumulative(cfg)
     records = load_catalog_for(cfg)
     picked = [_record_by_label(records, lb) for lb in manifest_labels]
     workers = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
@@ -414,7 +451,7 @@ def pgm_bytes(field: EscapeField) -> bytes:
     return header + gray.astype(np.uint8)[values].tobytes()
 
 
-def resolve_map_selector(selector: str, cfg: RunConfig, records=None):
+def resolve_map_selector(selector: str, cfg: RunConfig):
     """label | nonic:<label> | exp:<lambda> | zeta."""
     if selector == "zeta":
         return DirichletMap(AnTable("zeta", 1, cfg.m, (1,) * cfg.m))
@@ -425,15 +462,15 @@ def resolve_map_selector(selector: str, cfg: RunConfig, records=None):
             raise ConfigError(f"bad lambda in {selector!r}: {exc}") from None
         return ScaledExpMap(lam)
     if selector.startswith("nonic:"):
-        label = selector[6:]
-        records = load_catalog_for(cfg) if records is None else records
-        return PolynomialMap(nonic_polynomial(_record_by_label(records, label).a_invariants))
-    records = load_catalog_for(cfg) if records is None else records
-    record = _record_by_label(records, selector)
+        record = _record_by_label(load_catalog_for(cfg), selector[6:])
+        return PolynomialMap(nonic_polynomial(record.a_invariants))
+    record = _record_by_label(load_catalog_for(cfg), selector)
     return DirichletMap(get_an_table(record, cfg.m, cfg.cache_dir))
 
 
 def cmd_render(selector: str, cfg: RunConfig, width: int, height: int) -> bytes:
+    if width < 1 or height < 1:
+        raise ConfigError(f"render size {width}x{height} must be positive")
     spec = resolve_map_selector(selector, cfg)
     field = escape_time_field(
         spec, cfg.window, width, height, cfg.radius, cfg.iterations, mode=cfg.escape_mode
@@ -453,7 +490,7 @@ def config_summary(cfg: RunConfig) -> str:
     parts = []
     for f in fields(RunConfig):
         v = getattr(cfg, f.name)
-        if f.name == "window":
+        if isinstance(v, (tuple, list)):
             v = ",".join(_fmt(x) for x in v)
         elif isinstance(v, bool):
             v = "true" if v else "false"
@@ -466,6 +503,7 @@ def config_summary(cfg: RunConfig) -> str:
 def cmd_reproduce(cfg: RunConfig) -> dict:
     """Full pipeline: sample, observe, correlate.  Writes manifest.txt,
     observations.csv, report.txt and summary.txt into output_dir."""
+    _require_cumulative(cfg)
     t0 = time.monotonic()
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -360,7 +360,6 @@ def test_estimate_deterministic_and_seed_sensitive():
     e3 = estimate_escape_rate(f, win, 400, 1e5, 10, 2)
     assert e1 == e2
     assert e1.survivors != e3.survivors
-    assert e1.params.n_seeds == 400
     assert e1.survivors[0] == 400
     for a, b in zip(e1.survivors, e1.survivors[1:]):
         assert b <= a

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import fields as dc_fields
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lflow import cli
 from lflow.dynamics import NEVER, EscapeField, Window, escape_iterate
 from lflow.errors import CacheError, ConfigError, LflowError, UndefinedCorrelationError
 from lflow.lseries import AnTable, build_an_table
@@ -108,6 +110,11 @@ def test_env_fills_paths_only_when_not_set(tmp_path):
     )
     assert cfg2.catalog_path == "/flag.txt"
     assert cfg2.cache_dir == "/flag/cache"
+    f = tmp_path / "paths.cfg"
+    f.write_text("catalog_path=/from/file.txt\ncache_dir=/from/file\n")
+    cfg3 = build_config(config_file=str(f), environ=env)
+    assert cfg3.catalog_path == "/from/file.txt"
+    assert cfg3.cache_dir == "/from/file"
 
 
 def test_config_file_rejects_junk(tmp_path):
@@ -127,6 +134,15 @@ def test_config_file_rejects_junk(tmp_path):
     bad4.write_text("smoothed=maybe\n")
     with pytest.raises(ConfigError):
         parse_config_file(str(bad4))
+    for line in ("radius=abc", "window=1,2,3,x", "threads=two"):
+        bad = tmp_path / "e.cfg"
+        bad.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=f"for {line.partition('=')[0]}"):
+            parse_config_file(str(bad))
+    bad6 = tmp_path / "f.cfg"
+    bad6.write_bytes(b"m=5\n\xff\n")
+    with pytest.raises(LflowError):
+        parse_config_file(str(bad6))
 
 
 def test_config_validation():
@@ -143,6 +159,49 @@ def test_config_validation():
     for radius in (0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError, match="radius must be a finite positive number"):
             build_config(flag_overrides={"radius": radius}, environ={})
+    with pytest.raises(ConfigError, match="threads must be >= 0"):
+        build_config(flag_overrides={"threads": -3}, environ={})
+    with pytest.raises(ConfigError, match="strata must be >= 0"):
+        build_config(flag_overrides={"strata": -2}, environ={})
+
+
+# One sample value per RunConfig field that has a flag: the command-line
+# words and the config-file value.  Each differs from the field's default.
+FLAG_SAMPLES = {
+    "catalog_path": (["/x/catalog.txt"], "/x/catalog.txt"),
+    "cache_dir": (["/x/cache"], "/x/cache"),
+    "output_dir": (["/x/out"], "/x/out"),
+    "bad_prime": (["5"], "5"),
+    "conductor_lo": (["37"], "37"),
+    "conductor_hi": (["389"], "389"),
+    "size": (["7"], "7"),
+    "strata": (["2"], "2"),
+    "m": (["150"], "150"),
+    "window": (["-1", "1.5", "0", "2e1"], "-1,1.5,0,2e1"),
+    "n_seeds": (["300"], "300"),
+    "radius": (["1e4"], "1e4"),
+    "iterations": (["8"], "8"),
+    "master_seed": (["4"], "4"),
+    "alpha": (["0.05"], "0.05"),
+    "threads": (["3"], "3"),
+    "smoothed": ([], "true"),
+    "escape_mode": (["final"], "final"),
+}
+
+
+@pytest.mark.parametrize(
+    "field", [f for f in dc_fields(RunConfig) if f.metadata["flags"]], ids=lambda f: f.name
+)
+def test_flag_and_config_file_agree(field, tmp_path):
+    words, file_value = FLAG_SAMPLES[field.name]
+    command = field.metadata["command"] or "sample"
+    cfg_file = tmp_path / "one.cfg"
+    cfg_file.write_text(f"{field.name}={file_value}\n")
+    parser = cli.build_parser()
+    from_flag = cli._config_from(parser.parse_args([command, field.metadata["flags"][-1], *words]))
+    from_file = cli._config_from(parser.parse_args([command, "--config", str(cfg_file)]))
+    assert repr(from_flag) == repr(from_file)  # repr also tells 389 from 389.0
+    assert getattr(from_flag, field.name) != getattr(RunConfig(), field.name)
 
 
 # --------------------------------------------------------------------- cache
@@ -285,6 +344,8 @@ def test_observations_csv_rejects_malformed():
         parse_observations_csv("nope,conductor,l1,tau,s0,s1\n")
     with pytest.raises(LflowError):
         parse_observations_csv("label,conductor,l1,tau,s0,s1\n11a1,11,0.1\n")
+    with pytest.raises(LflowError, match="bad CSV row"):
+        parse_observations_csv("label,conductor,l1,tau,s0,s1\n11a1,eleven,0.1,0.2,9,8\n")
     with pytest.raises(ValueError):
         observations_to_csv([ObservationRow("x1a1", 3, 0.0, 0.0, (5, 4))], iterations=5)
 
@@ -491,8 +552,6 @@ def test_cmd_reproduce_writes_consistent_artifacts(fixture_catalog_path, tmp_pat
 def test_config_summary_lists_every_field(fixture_catalog_path, tmp_path):
     cfg = base_cfg(fixture_catalog_path, tmp_path)
     text = config_summary(cfg)
-    from dataclasses import fields as dc_fields
-
     for f in dc_fields(RunConfig):
         assert f"{f.name}=" in text
 
@@ -592,6 +651,36 @@ def test_cli_errors_exit_2(fixture_catalog_path, tmp_path):
         assert r4.returncode == 2, r4.stderr
         assert r4.stderr.startswith("error: radius must be a finite positive number")
         assert not (tmp_path / "x.pgm").exists()
+
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("label,conductor,l1,tau,s0,s1\n11a1,eleven,0.1,0.2,9,8\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_bytes(b"11a1\n\xff\n")
+    bad_cfgs = [tmp_path / "radius.cfg", tmp_path / "window.cfg"]
+    bad_cfgs[0].write_text("radius=abc\n")
+    bad_cfgs[1].write_text("window=1,2,3,x\n")
+    cases = [
+        ["render", "exp:1", "--width", "0", "-o", str(tmp_path / "x.pgm")],
+        ["correlate", str(bad_csv)],
+        ["observe", str(manifest), "--catalog", fixture_catalog_path],
+        ["sample", "--catalog", fixture_catalog_path, "--threads", "-3"],
+        ["sample", "--catalog", fixture_catalog_path, "--strata", "-2"],
+    ] + [["sample", "--catalog", fixture_catalog_path, "--config", str(f)] for f in bad_cfgs]
+    for argv in cases:
+        r5 = run_cli(argv, tmp_path)
+        assert r5.returncode == 2, (argv, r5.stderr)
+        assert r5.stderr.startswith("error:"), (argv, r5.stderr)
+        assert "Traceback" not in r5.stderr
+    assert not (tmp_path / "x.pgm").exists()
+
+    # escape rates always test every iterate, so reproduce refuses the
+    # render-only final mode before it writes anything
+    out = tmp_path / "final-out"
+    r6 = run_cli(["reproduce", "--preset", "smoke", "--catalog", fixture_catalog_path,
+                  "--escape-mode", "final", "-o", str(out)], tmp_path)
+    assert r6.returncode == 2, r6.stderr
+    assert r6.stderr.startswith("error: escape_mode 'final' applies to render only")
+    assert not out.exists()
 
 
 def test_cli_coeffs_prints_cache_format(fixture_catalog_path, tmp_path):
