@@ -3,7 +3,7 @@
 Run from the repository root:  python3 demos/01_catalog_and_sampling.py
 """
 
-from lflow import (
+from lflow.catalog import (
     SamplePlan,
     b_invariants,
     c_invariants,

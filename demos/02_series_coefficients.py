@@ -5,11 +5,12 @@ Run from the repository root:  python3 demos/02_series_coefficients.py
 
 import math
 
-from lflow import (
+from lflow.catalog import load_catalog
+from lflow.lseries import (
+    AnTable,
     build_an_table,
     eval_truncated_l,
     l_at_one,
-    load_catalog,
     sigma0_sqrt_bound,
     smoothed_l_at_one,
     trace_of_frobenius,
@@ -18,10 +19,12 @@ from lflow import (
 records = load_catalog("data/fixture_allcurves.txt")
 rec = next(r for r in records if r.label == "11a1")
 
-# traces at small primes, with the reduction kind at the bad prime
+# traces at small primes; at the bad prime a_p is 1, -1 or 0 for split,
+# nonsplit or additive reduction
 for p in (2, 3, 5, 7, 11, 13):
-    info = trace_of_frobenius(rec.a_invariants, p, rec.conductor)
-    print(f"  a_{p:<2} = {info.a_p:+d}  ({info.kind})")
+    a_p = trace_of_frobenius(rec.a_invariants, p, rec.conductor)
+    mark = "  (bad prime)" if rec.conductor % p == 0 else ""
+    print(f"  a_{p:<2} = {a_p:+d}{mark}")
 
 table = build_an_table(rec.a_invariants, rec.conductor, 1000, rec.label)
 print(f"\nfirst ten a_n: {table.coefficients[:10]}")
@@ -45,8 +48,6 @@ print(f"\n37a1 (rank 1): truncated L(1) = {l_at_one(t37):+.6f}")
 print(f"11a1 (rank 0): truncated L(1) = {l_at_one(table):+.6f}")
 print("rank-0 curves sit far from zero, rank-1 curves close; the correlation")
 print("experiment exploits exactly this contrast through the dynamics.")
-
-from lflow import AnTable
 
 zeta = AnTable("zeta", 1, 1000, (1,) * 1000)
 h1000 = math.fsum(1.0 / n for n in range(1, 1001))

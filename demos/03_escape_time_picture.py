@@ -6,13 +6,10 @@ seeds that diverge quickly under z -> L_M(z); black regions never escape.
 Run from the repository root:  python3 demos/03_escape_time_picture.py
 """
 
-from lflow import (
-    DirichletMap,
-    build_an_table,
-    escape_time_field,
-    load_catalog,
-    pgm_bytes,
-)
+from lflow.catalog import load_catalog
+from lflow.dynamics import DirichletMap, escape_time_field
+from lflow.lseries import build_an_table
+from lflow.pipeline import pgm_bytes
 
 WINDOW = (-1.5, 4.5, 0.0, 12.0)  # the standard seed window
 RADIUS = 1e5

@@ -9,13 +9,9 @@ Run from the repository root:  python3 demos/04_escape_rate_decay.py
 
 import math
 
-from lflow import (
-    DirichletMap,
-    build_an_table,
-    estimate_escape_rate,
-    l_at_one,
-    load_catalog,
-)
+from lflow.catalog import load_catalog
+from lflow.dynamics import DirichletMap, estimate_escape_rate
+from lflow.lseries import build_an_table, l_at_one
 
 WINDOW = (-1.5, 4.5, 0.0, 12.0)
 N_SEEDS = 5000

@@ -7,15 +7,14 @@ degree-9 truncation is itself a polynomial map worth iterating.
 Run from the repository root:  python3 demos/05_formal_group_nonic.py
 """
 
-from lflow import (
-    PolynomialMap,
+from lflow.catalog import load_catalog
+from lflow.dynamics import PolynomialMap, escape_time_field
+from lflow.formal_group import (
     defining_relation_residual,
-    escape_time_field,
     expand_formal_group,
-    load_catalog,
     nonic_integer_coefficients,
-    pgm_bytes,
 )
+from lflow.pipeline import pgm_bytes
 
 records = load_catalog("data/fixture_allcurves.txt")
 

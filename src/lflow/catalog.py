@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import CatalogError, SamplingError, SingularCurveError
+from .errors import CatalogError, SamplingError, SingularCurveError, read_text
 from .rng import unit_uniform
 
 _LABEL_RE = re.compile(r"^(\d+)([a-z]+)(\d+)$")
@@ -148,8 +148,7 @@ def serialize_catalog(records: list[CurveRecord]) -> str:
 
 
 def load_catalog(path) -> list[CurveRecord]:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_catalog(fh.read())
+    return parse_catalog(read_text(path))
 
 
 def is_squarefree(n: int) -> bool:
@@ -185,6 +184,13 @@ class SamplePlan:
         return self.strata if self.strata > 0 else max(1, self.size)
 
 
+def _eligible_in_range(records: list[CurveRecord], plan: SamplePlan):
+    """The records eligible under `plan` with conductor in its range."""
+    for r in records:
+        if plan.conductor_lo <= r.conductor <= plan.conductor_hi and is_eligible(r, plan.bad_prime):
+            yield r
+
+
 def select_sample(records: list[CurveRecord], plan: SamplePlan) -> list[CurveRecord]:
     """Stratified sample of eligible isogeny classes, one curve per class.
 
@@ -202,11 +208,7 @@ def select_sample(records: list[CurveRecord], plan: SamplePlan) -> list[CurveRec
 
     by_class: dict[tuple[int, int], CurveRecord] = {}
     eligible_classes: set[tuple[int, int]] = set()
-    for r in records:
-        if not (plan.conductor_lo <= r.conductor <= plan.conductor_hi):
-            continue
-        if not is_eligible(r, plan.bad_prime):
-            continue
+    for r in _eligible_in_range(records, plan):
         key = (r.conductor, class_code_to_int(r.isogeny_class))
         eligible_classes.add(key)
         if r.curve_index == 1:
@@ -250,9 +252,4 @@ def select_sample(records: list[CurveRecord], plan: SamplePlan) -> list[CurveRec
 
 
 def count_eligible_classes(records: list[CurveRecord], plan: SamplePlan) -> int:
-    keys = {
-        (r.conductor, r.isogeny_class)
-        for r in records
-        if plan.conductor_lo <= r.conductor <= plan.conductor_hi and is_eligible(r, plan.bad_prime)
-    }
-    return len(keys)
+    return len({(r.conductor, r.isogeny_class) for r in _eligible_in_range(records, plan)})

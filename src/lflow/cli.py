@@ -8,7 +8,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline
-from .errors import LflowError
+from .errors import LflowError, read_text
 from .pipeline import RunConfig, build_config
 
 
@@ -45,12 +45,12 @@ def _coeffs(args, cfg):
 
 
 def _observe(args, cfg):
-    rows = pipeline.cmd_observe(pipeline.parse_manifest(pipeline.read_text(args.manifest)), cfg)
+    rows = pipeline.cmd_observe(pipeline.parse_manifest(read_text(args.manifest)), cfg)
     return pipeline.observations_to_csv(rows, cfg.iterations), args.output
 
 
 def _correlate(args, cfg):
-    return pipeline.cmd_correlate(pipeline.read_text(args.csv), cfg.alpha), args.output
+    return pipeline.cmd_correlate(read_text(args.csv), cfg.alpha), args.output
 
 
 def _render(args, cfg):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the guarded read of a
+user's input file."""
+
+from pathlib import Path
 
 
 class LflowError(Exception):
@@ -43,3 +46,11 @@ class UndefinedCorrelationError(LflowError):
 
 class ConfigError(LflowError):
     """Run configuration is invalid or contradictory."""
+
+
+def read_text(path, encoding: str = "ascii") -> str:
+    """A user's input file; bytes that do not decode are a user error."""
+    try:
+        return Path(path).read_text(encoding=encoding)
+    except UnicodeDecodeError as exc:
+        raise LflowError(f"{path}: {exc}") from None

@@ -22,21 +22,6 @@ import numpy as np
 
 from .errors import ConsistencyError, NumericError
 
-GOOD = "good"
-SPLIT = "split"
-NONSPLIT = "nonsplit"
-ADDITIVE = "additive"
-
-_BAD_KINDS = {1: SPLIT, -1: NONSPLIT, 0: ADDITIVE}
-
-
-@dataclass(frozen=True)
-class ReductionInfo:
-    p: int
-    a_p: int
-    kind: str
-
-
 @dataclass(frozen=True)
 class AnTable:
     label: str
@@ -122,8 +107,8 @@ def count_points_fast(a: tuple[int, int, int, int, int], p: int) -> tuple[int, l
     return total - len(singular), singular
 
 
-def trace_of_frobenius(a: tuple[int, int, int, int, int], p: int, conductor: int) -> ReductionInfo:
-    """Frobenius trace a_p with the reduction kind at p.
+def trace_of_frobenius(a: tuple[int, int, int, int, int], p: int, conductor: int) -> int:
+    """Frobenius trace a_p.
 
     Good p: a_p = p - #smooth affine points, checked against the Hasse
     bound.  Bad p (p | conductor): a_p = p - (#smooth affine + 1) and
@@ -139,15 +124,14 @@ def trace_of_frobenius(a: tuple[int, int, int, int, int], p: int, conductor: int
         a_p = p - smooth
         if a_p * a_p > 4 * p:
             raise ConsistencyError(f"a_{p} = {a_p} violates the Hasse bound")
-        return ReductionInfo(p, a_p, GOOD)
+        return a_p
     a_p = p - (smooth + 1)
-    kind = _BAD_KINDS.get(a_p)
-    if kind is None:
+    if a_p not in (1, -1, 0):
         raise ConsistencyError(
             f"bad prime p={p} gave a_p = {a_p}, expected one of 1, -1, 0; "
             "model is not minimal or the conductor is wrong"
         )
-    return ReductionInfo(p, a_p, kind)
+    return a_p
 
 
 def _smallest_prime_factors(m: int) -> np.ndarray:
@@ -171,7 +155,7 @@ def build_an_table(
     coeffs[1] = 1
     spf = _smallest_prime_factors(m).tolist()
     for p in (n for n in range(2, m + 1) if spf[n] == n):
-        ap = trace_of_frobenius(a, p, conductor).a_p
+        ap = trace_of_frobenius(a, p, conductor)
         good = conductor % p != 0
         prev, cur = 1, ap  # a_{p^0}, a_{p^1}
         q = p

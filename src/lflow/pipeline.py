@@ -31,7 +31,7 @@ from .dynamics import (
     escape_time_field,
     estimate_escape_rate,
 )
-from .errors import CacheError, ConfigError, LflowError, UndefinedCorrelationError
+from .errors import CacheError, ConfigError, LflowError, UndefinedCorrelationError, read_text
 from .formal_group import nonic_integer_coefficients, nonic_polynomial
 from .lseries import AnTable, build_an_table, l_at_one, smoothed_l_at_one
 from .stats import CorrelationReport, correlation_report
@@ -52,6 +52,10 @@ def _parse_bool(raw: str) -> bool:
     if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
         raise ValueError("expected true or false")
     return word in ("1", "true", "yes", "on")
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def _at_least(n: int):
@@ -77,7 +81,7 @@ class RunConfig:
     output_dir: str = _setting("lflow-out", str, "-o", "--output", metavar="DIR",
                                help="output directory", command="reproduce")
     bad_prime: int = _setting(3, int, "--bad-prime", metavar="P",
-                              must=(lambda p: p >= 2, "be a prime >= 2"))
+                              must=(_is_prime, "be a prime >= 2"))
     conductor_lo: int = _setting(11, int, "--conductor-min", metavar="N")
     conductor_hi: int = _setting(1000, int, "--conductor-max", metavar="N")
     size: int = _setting(30, int, "--size", metavar="COUNT", help="sample size")
@@ -116,14 +120,6 @@ PRESETS: dict[str, dict] = {
 }
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
-
-
-def read_text(path, encoding: str = "ascii") -> str:
-    """A user's input file; bytes that do not decode are a user error."""
-    try:
-        return Path(path).read_text(encoding=encoding)
-    except UnicodeDecodeError as exc:
-        raise LflowError(f"{path}: {exc}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -350,7 +346,10 @@ def cmd_coeffs(label: str, cfg: RunConfig) -> str:
 def parse_manifest(text: str) -> list[str]:
     labels = [ln.strip() for ln in text.splitlines() if ln.strip()]
     for lb in labels:
-        cat.split_label(lb)
+        try:
+            cat.split_label(lb)
+        except ValueError as exc:
+            raise LflowError(f"manifest: {exc}") from None
     return labels
 
 

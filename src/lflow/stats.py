@@ -165,36 +165,3 @@ def correlation_report(x, y, alpha: float) -> CorrelationReport:
     p_two = min(1.0, 2.0 * p_one)
     return CorrelationReport(n, r, t, df, p_one, p_two, alpha, p_two < alpha)
 
-
-def critical_rs(n: int, alpha: float, sides: int = 1) -> float:
-    """Smallest |r_s| rejected at level alpha under the t-approximation.
-
-    Bisection on the t statistic to absolute tolerance 1e-10, then
-    mapped back through r = t / sqrt(n - 2 + t^2).
-    """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    if sides not in (1, 2):
-        raise ValueError("sides must be 1 or 2")
-    df = n - 2
-    target = alpha if sides == 1 else alpha / 2.0
-    if student_t_sf(0.0, df) <= target:
-        return 0.0
-    hi = 1.0
-    for _ in range(200):
-        if student_t_sf(hi, df) < target:
-            break
-        hi *= 2.0
-    else:
-        raise NumericError("could not bracket the critical t value")
-    lo = 0.0
-    while hi - lo > 1e-10:
-        mid = (lo + hi) / 2.0
-        if student_t_sf(mid, df) < target:
-            hi = mid
-        else:
-            lo = mid
-    t = (lo + hi) / 2.0
-    return t / math.sqrt(df + t * t)

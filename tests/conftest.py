@@ -24,6 +24,6 @@ def fixture_catalog_path():
 
 @pytest.fixture(scope="session")
 def fixture_records(fixture_catalog_path):
-    from lflow import load_catalog
+    from lflow.catalog import load_catalog
 
     return load_catalog(fixture_catalog_path)

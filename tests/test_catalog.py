@@ -6,11 +6,8 @@ import random
 import pytest
 
 from lflow.catalog import (
-    CatalogError,
     CurveRecord,
     SamplePlan,
-    SamplingError,
-    SingularCurveError,
     b_invariants,
     c_invariants,
     class_code_to_int,
@@ -19,11 +16,13 @@ from lflow.catalog import (
     int_to_class_code,
     is_eligible,
     is_squarefree,
+    load_catalog,
     parse_catalog,
     select_sample,
     serialize_catalog,
     split_label,
 )
+from lflow.errors import CatalogError, LflowError, SamplingError, SingularCurveError
 
 from conftest import CURVE_11A1
 
@@ -151,6 +150,13 @@ def test_parse_rejects_bad_domains():
     ):
         with pytest.raises(CatalogError):
             parse_catalog(line + "\n")
+
+
+def test_load_catalog_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "catalog.txt"
+    path.write_bytes(b"11 a 1 [0,-1,1,-10,-20] 0 5\n\xff\n")
+    with pytest.raises(LflowError, match="can't decode byte 0xff"):
+        load_catalog(path)
 
 
 # --------------------------------------------------------------- eligibility

@@ -17,10 +17,6 @@ from hypothesis import strategies as st
 
 from lflow.errors import ConsistencyError, NumericError
 from lflow.lseries import (
-    ADDITIVE,
-    GOOD,
-    NONSPLIT,
-    SPLIT,
     _EVAL_CHUNK,
     AnTable,
     build_an_table,
@@ -227,7 +223,7 @@ def test_supersingular_count_where_an_unreduced_cubic_overflows():
     # quadratic step for the count to come out exact
     p = 2097211
     assert p % 4 == 3
-    assert trace_of_frobenius((0, 0, 0, -1, 0), p, 32).a_p == 0
+    assert trace_of_frobenius((0, 0, 0, -1, 0), p, 32) == 0
 
 
 def test_trace_matches_euler_oracle_below_1000(fixture_records):
@@ -235,34 +231,33 @@ def test_trace_matches_euler_oracle_below_1000(fixture_records):
     picks = [fixture_records[i * len(fixture_records) // 10] for i in range(10)]
     for rec in picks:
         n = rec.conductor
-        assert trace_of_frobenius(rec.a_invariants, 2, n).a_p == oracle_ap(rec.a_invariants, 2, n)
+        assert trace_of_frobenius(rec.a_invariants, 2, n) == oracle_ap(rec.a_invariants, 2, n)
         for p in primes:
             smooth, singular = euler_counts(rec.a_invariants, p)
             assert bool(singular) == (n % p == 0), (rec.label, p)
             expected = p - smooth - (1 if n % p == 0 else 0)
-            assert trace_of_frobenius(rec.a_invariants, p, n).a_p == expected, (rec.label, p)
+            assert trace_of_frobenius(rec.a_invariants, p, n) == expected, (rec.label, p)
 
 
 # ------------------------------------------------------------------- traces
 
 
 def test_trace_known_values_11a1():
-    assert trace_of_frobenius(CURVE_11A1, 2, 11).a_p == -2
-    assert trace_of_frobenius(CURVE_11A1, 3, 11).a_p == -1
-    assert trace_of_frobenius(CURVE_11A1, 2, 11).kind == GOOD
-    info = trace_of_frobenius(CURVE_11A1, 11, 11)
-    assert info.a_p == 1 and info.kind == SPLIT
+    assert trace_of_frobenius(CURVE_11A1, 2, 11) == -2
+    assert trace_of_frobenius(CURVE_11A1, 3, 11) == -1
+    assert 11 % 2 != 0  # good reduction at 2
+    assert trace_of_frobenius(CURVE_11A1, 11, 11) == 1  # split at the bad prime
 
 
 def test_trace_reduction_kinds():
-    # 14a1 = [1,0,1,4,-6], disc = -2^6 * 7^3 wait: conductor 14 = 2 * 7
-    assert trace_of_frobenius(CURVE_14A1, 2, 14).kind == NONSPLIT
-    assert trace_of_frobenius(CURVE_14A1, 7, 14).kind == SPLIT
-    assert trace_of_frobenius(CURVE_21A1, 3, 21).kind == SPLIT
-    assert trace_of_frobenius(CURVE_21A1, 7, 21).kind == NONSPLIT
+    # at a bad prime a_p is 1 (split), -1 (nonsplit) or 0 (additive);
+    # 14a1 = [1,0,1,4,-6] has conductor 14 = 2 * 7
+    assert trace_of_frobenius(CURVE_14A1, 2, 14) == -1
+    assert trace_of_frobenius(CURVE_14A1, 7, 14) == 1
+    assert trace_of_frobenius(CURVE_21A1, 3, 21) == 1
+    assert trace_of_frobenius(CURVE_21A1, 7, 21) == -1
     # 20a1 has additive reduction at 2 (conductor 20 = 2^2 * 5)
-    assert trace_of_frobenius((0, 1, 0, 4, 4), 2, 20).kind == ADDITIVE
-    assert trace_of_frobenius((0, 1, 0, 4, 4), 2, 20).a_p == 0
+    assert trace_of_frobenius((0, 1, 0, 4, 4), 2, 20) == 0
 
 
 def test_trace_matches_oracle_across_fixture(fixture_records):
@@ -271,16 +266,16 @@ def test_trace_matches_oracle_across_fixture(fixture_records):
     primes = (2, 3, 5, 7, 11, 13)
     for rec in picks:
         for p in primes:
-            info = trace_of_frobenius(rec.a_invariants, p, rec.conductor)
-            assert info.a_p == oracle_ap(rec.a_invariants, p, rec.conductor)
-            assert abs(info.a_p) <= 2 * math.sqrt(p) or rec.conductor % p == 0
+            a_p = trace_of_frobenius(rec.a_invariants, p, rec.conductor)
+            assert a_p == oracle_ap(rec.a_invariants, p, rec.conductor)
+            assert abs(a_p) <= 2 * math.sqrt(p) or rec.conductor % p == 0
 
 
 def test_trace_hasse_bound_good_primes():
     for p in (2, 3, 5, 7, 13, 17, 19, 23):
-        info = trace_of_frobenius(CURVE_37A1, p, 37)
-        assert info.kind == GOOD
-        assert info.a_p * info.a_p <= 4 * p
+        a_p = trace_of_frobenius(CURVE_37A1, p, 37)
+        assert 37 % p != 0  # good reduction
+        assert a_p * a_p <= 4 * p
 
 
 def test_trace_rejects_non_minimal_model():
@@ -301,7 +296,7 @@ def test_trace_semistable_fixture_never_additive(fixture_records):
         n = rec.conductor
         for p in (2, 3, 5, 7, 11, 13):
             if n % p == 0:
-                assert trace_of_frobenius(rec.a_invariants, p, n).kind != ADDITIVE
+                assert trace_of_frobenius(rec.a_invariants, p, n) != 0  # not additive
 
 
 # ----------------------------------------------------------------- a_n table

@@ -163,6 +163,10 @@ def test_config_validation():
         build_config(flag_overrides={"threads": -3}, environ={})
     with pytest.raises(ConfigError, match="strata must be >= 0"):
         build_config(flag_overrides={"strata": -2}, environ={})
+    for bad_prime in (1, 4, 9):
+        with pytest.raises(ConfigError, match=f"bad_prime must be a prime >= 2, got {bad_prime}"):
+            build_config(flag_overrides={"bad_prime": bad_prime}, environ={})
+    assert build_config(flag_overrides={"bad_prime": 2}, environ={}).bad_prime == 2
 
 
 # One sample value per RunConfig field that has a flag: the command-line
@@ -367,7 +371,7 @@ def test_cmd_sample_manifest(fixture_catalog_path, tmp_path):
 
 def test_parse_manifest_validates_labels():
     assert parse_manifest("11a1\n\n389a1\n") == ["11a1", "389a1"]
-    with pytest.raises(ValueError):
+    with pytest.raises(LflowError, match="bad curve label 'bogus'"):
         parse_manifest("11a1\nbogus\n")
 
 
@@ -656,6 +660,10 @@ def test_cli_errors_exit_2(fixture_catalog_path, tmp_path):
     bad_csv.write_text("label,conductor,l1,tau,s0,s1\n11a1,eleven,0.1,0.2,9,8\n")
     manifest = tmp_path / "manifest.txt"
     manifest.write_bytes(b"11a1\n\xff\n")
+    bogus_manifest = tmp_path / "bogus.txt"
+    bogus_manifest.write_text("11a1\nbogus\n")
+    binary_catalog = tmp_path / "binary.txt"
+    binary_catalog.write_bytes(b"\xff")
     bad_cfgs = [tmp_path / "radius.cfg", tmp_path / "window.cfg"]
     bad_cfgs[0].write_text("radius=abc\n")
     bad_cfgs[1].write_text("window=1,2,3,x\n")
@@ -663,6 +671,9 @@ def test_cli_errors_exit_2(fixture_catalog_path, tmp_path):
         ["render", "exp:1", "--width", "0", "-o", str(tmp_path / "x.pgm")],
         ["correlate", str(bad_csv)],
         ["observe", str(manifest), "--catalog", fixture_catalog_path],
+        ["observe", str(bogus_manifest), "--catalog", fixture_catalog_path],
+        ["sample", "--catalog", str(binary_catalog)],
+        ["sample", "--catalog", fixture_catalog_path, "--bad-prime", "4"],
         ["sample", "--catalog", fixture_catalog_path, "--threads", "-3"],
         ["sample", "--catalog", fixture_catalog_path, "--strata", "-2"],
     ] + [["sample", "--catalog", fixture_catalog_path, "--config", str(f)] for f in bad_cfgs]

@@ -13,7 +13,6 @@ from lflow.errors import UndefinedCorrelationError
 from lflow.stats import (
     average_ranks,
     correlation_report,
-    critical_rs,
     regularized_incomplete_beta,
     spearman_rho,
     student_t_sf,
@@ -217,27 +216,3 @@ def test_t_approximation_close_to_exact_permutation_null_n5():
         checked += 1
     assert checked >= 30
 
-
-# -------------------------------------------------------------- critical r_s
-
-
-def test_critical_rs_frozen_and_vs_scipy():
-    r = critical_rs(30, 0.001, sides=1)
-    assert r == pytest.approx(0.5414852995466728, abs=1e-9)
-    t_star = scipy.stats.t.ppf(1 - 0.001, 28)
-    assert r == pytest.approx(t_star / math.sqrt(28 + t_star**2), abs=1e-7)
-
-
-def test_critical_rs_consistency_with_t_sf():
-    for n, alpha, sides in ((30, 0.001, 1), (70, 0.01, 2), (325, 0.001, 2)):
-        r = critical_rs(n, alpha, sides=sides)
-        t = r * math.sqrt((n - 2) / (1 - r * r))
-        tail = student_t_sf(t, n - 2) * sides
-        assert tail == pytest.approx(alpha, rel=1e-6)
-
-
-def test_critical_rs_monotone():
-    rs = [critical_rs(n, 0.001, 1) for n in (10, 30, 70, 325)]
-    assert rs == sorted(rs, reverse=True)  # more data, smaller threshold
-    assert critical_rs(30, 0.001, 2) > critical_rs(30, 0.001, 1)
-    assert critical_rs(30, 0.01, 1) < critical_rs(30, 0.001, 1)

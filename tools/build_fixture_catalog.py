@@ -314,7 +314,7 @@ def main(out_path: Path) -> None:
 
         def trace(p: int) -> int:
             if p not in cache:
-                cache[p] = trace_of_frobenius(a, p, conductor).a_p
+                cache[p] = trace_of_frobenius(a, p, conductor)
             return cache[p]
 
         return trace
