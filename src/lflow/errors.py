@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the guarded read of a
-user's input file."""
+"""Exception types shared across the package, and the guarded read of an
+input or cache file."""
 
 from pathlib import Path
 
@@ -29,7 +29,7 @@ class SamplingError(LflowError):
 
 
 class ConsistencyError(LflowError):
-    """Point counts disagree with the conductor claimed by the catalog."""
+    """A model's reduction types or traces disagree with its claimed conductor."""
 
 
 class NumericError(LflowError):
@@ -48,9 +48,9 @@ class ConfigError(LflowError):
     """Run configuration is invalid or contradictory."""
 
 
-def read_text(path, encoding: str = "ascii") -> str:
-    """A user's input file; bytes that do not decode are a user error."""
+def read_text(path, encoding: str = "ascii", error: type[LflowError] = LflowError) -> str:
+    """An input or cache file; bytes that do not decode raise `error`."""
     try:
         return Path(path).read_text(encoding=encoding)
     except UnicodeDecodeError as exc:
-        raise LflowError(f"{path}: {exc}") from None
+        raise error(f"{path}: {exc}") from None

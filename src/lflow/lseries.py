@@ -1,12 +1,15 @@
 """Dirichlet coefficients of elliptic-curve L-series and truncated evaluation.
 
-Frobenius traces come from finite-field point counts: a naive O(p^2)
-enumeration (the reference path, also used at p = 2) and an O(p) count
-for odd p.  The odd-p count evaluates the completed-square cubic g(x) at
-every x in one int64 Horner pass, reduced mod p twice so that every
-intermediate stays below 5p^2, and reads the number of solutions off a
-histogram of g mod p at the nonzero squares.  Coefficients extend to all
-n <= M through the Hecke recursion at prime powers plus multiplicativity.
+Every Frobenius trace comes from one finite-field point count: a_p =
+p - N_p, with N_p the number of affine solutions of the Weierstrass
+equation mod p, at good and bad primes alike.  The reduction type is read
+off the discriminant, not off the points: the cubic is singular mod p
+exactly when p | disc, and it then has exactly one singular point, an
+affine one (Silverman, The Arithmetic of Elliptic Curves, Prop. III.1.4
+and III.2.5).  For odd p the count evaluates the completed-square cubic
+g(x) at every x in one int64 Horner pass and reads N_p off a histogram of
+g mod p at the nonzero squares.  Coefficients extend to all n <= M
+through the Hecke recursion at prime powers plus multiplicativity.
 The truncated series sum a_n n^(-s) is evaluated in complex float64
 through the complete multiplicativity of n^(-s): exp(-s ln p) at the
 primes p <= M only, and every composite n as p^(-s) * (n/p)^(-s) with p
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import discriminant
 from .errors import ConsistencyError, NumericError
 
 @dataclass(frozen=True)
@@ -36,48 +40,27 @@ class AnTable:
             raise ValueError("a_1 must be 1")
 
 
-def count_points(a: tuple[int, int, int, int, int], p: int) -> tuple[int, list[tuple[int, int]]]:
-    """Naive affine point count over F_p.
+def count_points(a: tuple[int, int, int, int, int], p: int) -> int:
+    """N_p, the number of affine solutions of the Weierstrass equation
+    over F_p, the singular point (if any) included.
 
-    Returns (number of smooth affine points, list of singular points).
-    A point is singular when it lies on the curve and both partial
-    derivatives of y^2 + a1*x*y + a3*y - x^3 - a2*x^2 - a4*x - a6 vanish.
+    p = 2 tries the four (x, y) pairs.  For odd p, completing the square
+    gives (2y + a1*x + a3)^2 = g(x) with g(x) = 4x^3 + b2*x^2 + 2*b4*x + b6,
+    so x has one solution when g(x) = 0, two when g(x) is a nonzero square
+    and none otherwise.  g runs over all x in one int64 Horner pass,
+    reduced mod p after the quadratic step and at the end, so every
+    intermediate stays below 5p^2 (exact in int64 for p below 1.3e9).
+    With counts the histogram of g mod p, N_p = counts[0] + 2 * sum of
+    counts[h^2 mod p] over h = 1..(p-1)/2, which hits each nonzero square
+    once.
     """
     a1, a2, a3, a4, a6 = (ai % p for ai in a)
-    smooth = 0
-    singular: list[tuple[int, int]] = []
-    for x in range(p):
-        rhs = (x * x * x + a2 * x * x + a4 * x + a6) % p
-        dx = (-(3 * x * x + 2 * a2 * x + a4)) % p
-        for y in range(p):
-            if (y * y + a1 * x * y + a3 * y - rhs) % p:
-                continue
-            fy = (2 * y + a1 * x + a3) % p
-            fx = (a1 * y + dx) % p
-            if fx == 0 and fy == 0:
-                singular.append((x, y))
-            else:
-                smooth += 1
-    return smooth, singular
-
-
-def count_points_fast(a: tuple[int, int, int, int, int], p: int) -> tuple[int, list[tuple[int, int]]]:
-    """Residue-histogram point count for odd p, O(p); p = 2 goes to the
-    naive count.
-
-    Completing the square gives (2y + a1*x + a3)^2 = g(x) with
-    g(x) = 4x^3 + b2*x^2 + 2*b4*x + b6, so x has one point when g(x) = 0,
-    two when g(x) is a nonzero square and none otherwise.  g runs over all
-    x in one int64 Horner pass, reduced mod p after the quadratic step and
-    at the end, so every intermediate stays below 5p^2 (exact in int64 for
-    p below 1.3e9).  With counts the histogram of g mod p, the affine
-    solutions number counts[0] + 2 * sum of counts[h^2 mod p] over
-    h = 1..(p-1)/2, which hits each nonzero square once.  Singular points
-    can only sit over the roots of g, searched only when counts[0] > 0.
-    """
     if p == 2:
-        return count_points(a, p)
-    a1, a2, a3, a4, a6 = (ai % p for ai in a)
+        return sum(
+            (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0
+            for x in (0, 1)
+            for y in (0, 1)
+        )
     b2 = (a1 * a1 + 4 * a2) % p
     b4 = (2 * a4 + a1 * a3) % p
     b6 = (a3 * a3 + 4 * a6) % p
@@ -94,42 +77,30 @@ def count_points_fast(a: tuple[int, int, int, int, int], p: int) -> tuple[int, l
     counts = np.bincount(g, minlength=p)
     squares = x[1 : (p + 1) // 2] ** 2
     squares -= (squares // p) * p
-    total = int(counts[0]) + 2 * int(counts[squares].sum())
-
-    singular: list[tuple[int, int]] = []
-    if counts[0]:
-        inv2 = pow(2, -1, p)
-        for x0 in np.flatnonzero(g == 0).tolist():
-            y0 = (-(a1 * x0 + a3) * inv2) % p
-            fx = (a1 * y0 - (3 * x0 * x0 + 2 * a2 * x0 + a4)) % p
-            if fx == 0:
-                singular.append((x0, y0))
-    return total - len(singular), singular
+    return int(counts[0]) + 2 * int(counts[squares].sum())
 
 
 def trace_of_frobenius(a: tuple[int, int, int, int, int], p: int, conductor: int) -> int:
-    """Frobenius trace a_p.
+    """Frobenius trace a_p = p + 1 - #E(F_p) = p - N_p, the point at
+    infinity counted, at good and bad primes alike.
 
-    Good p: a_p = p - #smooth affine points, checked against the Hasse
-    bound.  Bad p (p | conductor): a_p = p - (#smooth affine + 1) and
-    must land in {1, -1, 0} (split / nonsplit / additive).
+    The reduction is singular exactly when p | disc (Silverman, Prop.
+    III.1.4), which must hold exactly at the primes dividing the conductor;
+    a good-prime trace must obey the Hasse bound.
     """
-    smooth, singular = count_points_fast(a, p)
+    a_p = p - count_points(a, p)
+    singular = discriminant(a) % p == 0
     if conductor % p:
         if singular:
             raise ConsistencyError(
                 f"p={p} does not divide the conductor but the reduction is singular; "
                 "model is not minimal or the conductor is wrong"
             )
-        a_p = p - smooth
         if a_p * a_p > 4 * p:
             raise ConsistencyError(f"a_{p} = {a_p} violates the Hasse bound")
-        return a_p
-    a_p = p - (smooth + 1)
-    if a_p not in (1, -1, 0):
+    elif not singular:
         raise ConsistencyError(
-            f"bad prime p={p} gave a_p = {a_p}, expected one of 1, -1, 0; "
-            "model is not minimal or the conductor is wrong"
+            f"p={p} divides the conductor but the reduction is smooth; the conductor is wrong"
         )
     return a_p
 

@@ -242,7 +242,7 @@ def get_an_table(record: cat.CurveRecord, m: int, cache_dir) -> AnTable:
     match the request is silently rebuilt, a corrupt body raises."""
     path = cache_path(cache_dir, record.label, m)
     if path.exists():
-        table = parse_an_table(path.read_text(encoding="ascii"), path)
+        table = parse_an_table(read_text(path, error=CacheError), path)
         if table.label == record.label and table.conductor == record.conductor and table.m == m:
             return table
     table = build_an_table(record.a_invariants, record.conductor, m, record.label)

@@ -1,7 +1,10 @@
 """Catalog parsing, curve invariants, labels, and the sampling protocol."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -24,7 +27,7 @@ from lflow.catalog import (
 )
 from lflow.errors import CatalogError, LflowError, SamplingError, SingularCurveError
 
-from conftest import CURVE_11A1
+from conftest import CURVE_11A1, FIXTURE_CATALOG, REPO_ROOT
 
 
 def reference_discriminant(a):
@@ -316,3 +319,14 @@ def test_fixture_catalog_integrity(fixture_records):
                 p += 1
         if rem > 1:
             assert n % rem == 0, (r.label, rem)
+
+
+def test_fixture_catalog_regenerates_byte_for_byte(tmp_path):
+    # the generator reads isogeny classes, torsion and ranks off
+    # trace_of_frobenius, so this also checks the traces behind every row
+    out = tmp_path / "allcurves.txt"
+    tool = os.path.join(REPO_ROOT, "tools", "build_fixture_catalog.py")
+    r = subprocess.run([sys.executable, tool, str(out)], capture_output=True, text=True, timeout=600)
+    assert r.returncode == 0, r.stderr
+    with open(FIXTURE_CATALOG, "rb") as fh:
+        assert out.read_bytes() == fh.read()

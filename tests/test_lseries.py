@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lflow.catalog import discriminant
 from lflow.errors import ConsistencyError, NumericError
 from lflow.lseries import (
     _EVAL_CHUNK,
     AnTable,
     build_an_table,
     count_points,
-    count_points_fast,
     eval_truncated_l,
     eval_truncated_l_many,
     l_at_one,
@@ -105,21 +105,17 @@ def oracle_an(a, conductor, m):
 
 def test_count_points_four_case_hand_enumeration():
     # y^2 = x^3 + 1 over F_2: (0,1) has dy = 2y = 0 and dx = 3x^2 = 0,
-    # so it is singular; (1,0): lhs 0 rhs 0, dy = 0 but dx = 3 = 1 != 0
-    smooth, singular = count_points((0, 0, 0, 0, 1), 2)
-    assert smooth == 1
-    assert singular == [(0, 1)]
-
-
-def test_count_points_good_reduction_has_no_singular_point():
-    for p in (3, 5, 7, 13):
-        smooth, singular = count_points(CURVE_11A1, p)
-        assert singular == []
+    # so it is singular; (1,0): lhs 0 rhs 0, dy = 0 but dx = 3 = 1 != 0;
+    # both are solutions
+    assert count_points((0, 0, 0, 0, 1), 2) == 2
+    smooth, singular = oracle_counts((0, 0, 0, 0, 1), 2)
+    assert (smooth, singular) == (1, [(0, 1)])
 
 
 def test_count_points_11a1_at_11():
-    _, singular = count_points(CURVE_11A1, 11)
+    smooth, singular = oracle_counts(CURVE_11A1, 11)
     assert len(singular) == 1
+    assert count_points(CURVE_11A1, 11) == smooth + 1
 
 
 def test_count_points_matches_oracle():
@@ -127,7 +123,8 @@ def test_count_points_matches_oracle():
     for p in (2, 3, 5, 7, 11, 13):
         for _ in range(12):
             a = tuple(rng.randint(-9, 9) for _ in range(5))
-            assert count_points(a, p) == oracle_counts(a, p)
+            smooth, singular = oracle_counts(a, p)
+            assert count_points(a, p) == smooth + len(singular)
 
 
 def test_fast_count_agrees_with_naive_through_97():
@@ -137,10 +134,8 @@ def test_fast_count_agrees_with_naive_through_97():
     curves += [tuple(rng.randint(-20, 20) for _ in range(5)) for _ in range(10)]
     for a in curves:
         for p in primes:
-            ns, nsing = count_points(a, p)
-            fs, fsing = count_points_fast(a, p)
-            assert ns == fs, (a, p)
-            assert sorted(nsing) == sorted(fsing), (a, p)
+            smooth, singular = oracle_counts(a, p)
+            assert count_points(a, p) == smooth + len(singular), (a, p)
 
 
 ODD_PRIMES_BELOW_300 = [p for p in range(3, 300) if all(p % q for q in range(2, p))]
@@ -183,9 +178,9 @@ def models_mod_odd_primes(draw):
 def test_property_fast_count_matches_oracle(model):
     a, p = model
     smooth, singular = oracle_counts(a, p)
-    fast_smooth, fast_singular = count_points_fast(a, p)
-    assert fast_smooth == smooth
-    assert sorted(fast_singular) == sorted(singular)
+    assert count_points(a, p) == smooth + len(singular)
+    # the rule trace_of_frobenius reads the reduction type by
+    assert len(singular) == (1 if discriminant(a) % p == 0 else 0)
 
 
 def euler_counts(a, p):
@@ -213,8 +208,8 @@ def euler_counts(a, p):
 def test_fast_count_matches_euler_oracle_at_large_primes(p):
     # 5p^2 passes 2^31 at p = 65537, so an int32 kernel overflows there
     for a in (CURVE_11A1, CURVE_37A1, (0, 0, 0, -(10**9), 10**9 - 7)):
-        smooth, singular = count_points_fast(a, p)
-        assert (smooth, sorted(singular)) == euler_counts(a, p), a
+        smooth, singular = euler_counts(a, p)
+        assert count_points(a, p) == smooth + len(singular), a
 
 
 def test_supersingular_count_where_an_unreduced_cubic_overflows():
@@ -284,6 +279,13 @@ def test_trace_rejects_non_minimal_model():
     scaled = (0, -4, 8, -160, -1280)
     with pytest.raises(ConsistencyError):
         trace_of_frobenius(scaled, 2, 11)
+
+
+def test_trace_rejects_smooth_reduction_at_a_claimed_bad_prime():
+    # 11a1 has good reduction at 5 (a_5 = 1), so a claimed conductor 55 is
+    # wrong, although p - N_p - 1 = 0 would pass for an additive a_5
+    with pytest.raises(ConsistencyError, match="reduction is smooth"):
+        trace_of_frobenius(CURVE_11A1, 5, 55)
 
 
 def test_trace_semistable_fixture_never_additive(fixture_records):

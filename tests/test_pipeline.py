@@ -264,6 +264,14 @@ def test_cache_corrupt_body_raises(fixture_records, tmp_path):
         get_an_table(rec, 20, tmp_path)
 
 
+def test_cache_undecodable_file_raises(fixture_records, tmp_path):
+    rec = next(r for r in fixture_records if r.label == "11a1")
+    path = cache_path(tmp_path, "11a1", 12)
+    path.write_bytes(b"# label=11a1 N=11 M=12\n1 1\n\xff\n")
+    with pytest.raises(CacheError, match="11a1.M12.an"):
+        get_an_table(rec, 12, tmp_path)
+
+
 def test_cache_concurrent_writers_of_one_table(fixture_catalog_path, tmp_path):
     # a manifest that repeats one label makes every worker build and write
     # the same table at once on a fresh cache
@@ -664,6 +672,12 @@ def test_cli_errors_exit_2(fixture_catalog_path, tmp_path):
     bogus_manifest.write_text("11a1\nbogus\n")
     binary_catalog = tmp_path / "binary.txt"
     binary_catalog.write_bytes(b"\xff")
+    binary_cache = tmp_path / "binary-cache"
+    binary_cache.mkdir()
+    (binary_cache / "11a1.M12.an").write_bytes(b"\xff")
+    # the 11a1 model under a conductor it does not have: good reduction at 5
+    wrong_conductor = tmp_path / "wrong-conductor.txt"
+    wrong_conductor.write_text("55 a 1 [0,-1,1,-10,-20] 0 5\n")
     bad_cfgs = [tmp_path / "radius.cfg", tmp_path / "window.cfg"]
     bad_cfgs[0].write_text("radius=abc\n")
     bad_cfgs[1].write_text("window=1,2,3,x\n")
@@ -673,6 +687,10 @@ def test_cli_errors_exit_2(fixture_catalog_path, tmp_path):
         ["observe", str(manifest), "--catalog", fixture_catalog_path],
         ["observe", str(bogus_manifest), "--catalog", fixture_catalog_path],
         ["sample", "--catalog", str(binary_catalog)],
+        ["coeffs", "11a1", "--catalog", fixture_catalog_path, "--cache-dir", str(binary_cache),
+         "--coefficients", "12"],
+        ["coeffs", "55a1", "--catalog", str(wrong_conductor), "--cache-dir", str(tmp_path / "cache55"),
+         "--coefficients", "6"],
         ["sample", "--catalog", fixture_catalog_path, "--bad-prime", "4"],
         ["sample", "--catalog", fixture_catalog_path, "--threads", "-3"],
         ["sample", "--catalog", fixture_catalog_path, "--strata", "-2"],

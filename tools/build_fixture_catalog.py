@@ -54,7 +54,7 @@ from lflow.catalog import (
     serialize_catalog,
     split_label,
 )
-from lflow.lseries import build_an_table, trace_of_frobenius
+from lflow.lseries import build_an_table, smoothed_l_at_one, trace_of_frobenius
 
 X = Symbol("x")
 
@@ -247,19 +247,13 @@ def exact_torsion(a, conductor: int, trace) -> int:
 # --- certified analytic rank ------------------------------------------------
 
 
-def smoothed_l1(a, conductor: int) -> float:
-    table = build_an_table(a, conductor, SMOOTH_M)
-    c = -2.0 * math.pi / math.sqrt(conductor)
-    return sum(2.0 * an / n * math.exp(c * n) for n, an in enumerate(table.coefficients, 1))
-
-
 def certified_rank(a, conductor: int, bad_primes, trace):
     """(rank, note); rank is None when no certificate applies."""
     splits = sum(1 for p in bad_primes if trace(p) == 1)
     w = -((-1) ** splits)
     if w == -1:
         return 1, "w=-1, N<=1000"
-    l1 = smoothed_l1(a, conductor)
+    l1 = smoothed_l_at_one(build_an_table(a, conductor, SMOOTH_M))
     if l1 > 1e-3:
         return 0, f"w=+1, L(1)={l1:.6f}"
     if abs(l1) < 1e-8:
