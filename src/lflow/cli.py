@@ -97,10 +97,10 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lflow", description=__doc__)
+    parser = argparse.ArgumentParser(prog="lflow", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, arguments, _) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         _config_flags(p, command)
         for names, kwargs in arguments:
             p.add_argument(*names, **kwargs)

@@ -10,16 +10,24 @@ and III.2.5).  For odd p the count evaluates the completed-square cubic
 g(x) at every x in one int64 Horner pass and reads N_p off a histogram of
 g mod p at the nonzero squares.  Coefficients extend to all n <= M
 through the Hecke recursion at prime powers plus multiplicativity.
-The truncated series sum a_n n^(-s) is evaluated in complex float64
-through the complete multiplicativity of n^(-s): exp(-s ln p) at the
-primes p <= M only, and every composite n as p^(-s) * (n/p)^(-s) with p
-its smallest prime factor.
+
+The truncated series L_M(s) = sum_{n<=M} a_n n^(-s) is evaluated in
+complex float64 by grouping n by its smallest prime factor (Buchstab's
+identity; see eval_truncated_l_many): exp at the primes, one prefix sum
+over the primes and a few hundred products per point (144 edges at M =
+1000) instead of a term per n.  The recursion holds only for a
+multiplicative table, a_n = a_{p^k} a_{n/p^k} for p = spf(n) and
+p^k || n, which every table build_an_table makes is; each call checks
+that, and any other table is summed by the definition, term by term.
+Neither path mixes points, so a point's result has the same bits for
+every batch size and split.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,62 +161,166 @@ def sigma0_sqrt_bound(n: int) -> float:
 
 
 _EVAL_CHUNK = 128  # points per block; fixed, so results do not depend on the batch
-_EVAL_CACHE: dict[int, tuple] = {}
+_EVAL_CACHE: dict[int, _EvalPlan] = {}
 
 
-def _eval_plan(m: int) -> tuple:
-    """Read-only evaluation plan for tables of length m, cached per m.
+class _EvalPlan(NamedTuple):
+    """Read-only evaluation plan for tables of length m (see `_eval_plan`)."""
 
-    Returns (prime rows p-1, ln p, levels).  Level j holds the composites
-    n <= m with j + 2 prime factors counted with multiplicity, as index
-    arrays (n-1, spf(n)-1, n/spf(n)-1); both factors sit in lower levels.
+    ln_p: np.ndarray  # ln p at the primes p <= m, ascending: rows 0 .. pi(m)-1
+    powers: tuple  # per k >= 2: (first row, row count, first row of the (k-1)th powers)
+    row_n: np.ndarray  # n - 1 for the prime power n of each row
+    lo: np.ndarray  # per node: its prime prefix sum is c[hi] - c[lo]
+    hi: np.ndarray
+    levels: tuple  # per depth, deepest first: (child nodes, edge rows, parents, starts)
+    split: tuple  # n - 1, q - 1, n/q - 1 for n <= m not a prime power, q = p^k || n, p = spf(n)
+    ln_n: np.ndarray  # ln n for n <= m, for tables that are not multiplicative
+
+
+def _eval_plan(m: int) -> _EvalPlan:
+    """The plan for tables of length m, built on first use and cached.
+
+    Rows hold the prime powers q <= m: the primes ascending, then the
+    squares, the cubes and so on, each in the order of their primes, so
+    the kth powers are the (k-1)th powers' leading rows times the leading
+    prime rows.  Nodes are the pairs (x, i) of G(x, i) in breadth-first
+    order from the root (m, 0); every other node is the child (x // q,
+    j + 1) of one edge q = p_j^k of its parent, so each depth's children
+    are one slice of nodes, grouped by parent.
     """
     plan = _EVAL_CACHE.get(m)
-    if plan is None:
-        spf = _smallest_prime_factors(m)
-        cofactor = np.arange(m + 1) // np.maximum(spf, 1)
-        omega = [0] * (m + 1)  # Omega(n); the cofactor of n is below n
-        for k, c in enumerate(cofactor.tolist()[2:], start=2):
-            omega[k] = omega[c] + 1
-        omega = np.array(omega)
-        primes = np.flatnonzero(omega == 1)
-        levels = []
-        for j in range(2, omega.max() + 1):
-            n = np.flatnonzero(omega == j)
-            levels.append((n - 1, spf[n] - 1, cofactor[n] - 1))
-        plan = (primes - 1, np.log(primes.astype(np.float64)), tuple(levels))
-        for arr in plan[:2] + sum(plan[2], ()):
-            arr.setflags(write=False)
-        _EVAL_CACHE[m] = plan
+    if plan is not None:
+        return plan
+    spf = _smallest_prime_factors(m).tolist()
+    is_prime = [n >= 2 and spf[n] == n for n in range(m + 1)]
+    primes = [n for n, prime in enumerate(is_prime) if prime]
+    prime_count = np.cumsum(is_prime).tolist()  # pi(x) for x <= m
+    rows = [primes]  # rows[k-1]: p^k <= m for the leading primes
+    while nxt := [q * p for q, p in zip(rows[-1], primes) if q * p <= m]:
+        rows.append(nxt)
+    firsts = np.cumsum([0] + [len(r) for r in rows]).tolist()
+    powers = tuple((firsts[k], len(rows[k]), firsts[k - 1]) for k in range(1, len(rows)))
+    row_n = [q for r in rows for q in r]
+    row_of = {q: r for r, q in enumerate(row_n)}
+
+    lo, hi, levels = [], [], []
+    frontier, first = [(m, 0)], 0
+    while frontier:
+        children, edge_rows, parents, starts = [], [], [], []
+        for node, (x, i) in enumerate(frontier, start=first):
+            n_children = len(children)
+            j = i
+            while j < len(primes) and primes[j] ** 2 <= x:
+                q = primes[j]
+                while q <= x:
+                    children.append((x // q, j + 1))
+                    edge_rows.append(row_of[q])
+                    q *= primes[j]
+                j += 1
+            # the primes p_j .. p_{top-1} close G(x, i); an empty range is
+            # (0, 0), an exact zero even where the prefix sums overflow
+            top = prime_count[x]
+            lo.append(j if top > j else 0)
+            hi.append(top if top > j else 0)
+            if len(children) > n_children:
+                parents.append(node)
+                starts.append(n_children)
+        first += len(frontier)
+        if children:
+            levels.append((slice(first, first + len(children)), edge_rows, parents, starts))
+        frontier = children
+
+    n = np.arange(2, m + 1)
+    p = np.array(spf[2:], dtype=np.intp)
+    q, rest = p.copy(), n // p
+    while (more := rest % p == 0).any():  # q = p^k || n
+        q[more] *= p[more]
+        rest[more] //= p[more]
+    split = tuple(part[rest > 1] - 1 for part in (n, q, rest))
+    plan = _EvalPlan(
+        np.log(np.array(primes, dtype=np.float64)),
+        powers,
+        np.array(row_n, dtype=np.intp) - 1,
+        np.array(lo, dtype=np.intp),
+        np.array(hi, dtype=np.intp),
+        tuple((s, np.array(r), np.array(p), np.array(st)) for s, r, p, st in reversed(levels)),
+        split,
+        np.log(np.arange(1, m + 1, dtype=np.float64)),
+    )
+    for arr in (plan.ln_p, plan.row_n, plan.lo, plan.hi, plan.ln_n, *plan.split,
+                *(a for level in plan.levels for a in level[1:])):
+        arr.setflags(write=False)
+    _EVAL_CACHE[m] = plan
     return plan
+
+
+def _eval_block(plan: _EvalPlan, coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """L_M at one block of points by the recursion, for a multiplicative
+    table; each point owns one column of every array."""
+    n_p = plan.ln_p.size
+    w = np.empty((plan.row_n.size, s.size), dtype=np.complex128)
+    np.exp(np.multiply.outer(plan.ln_p, -s), out=w[:n_p])
+    for first, count, prev in plan.powers:
+        np.multiply(w[prev : prev + count], w[:count], out=w[first : first + count])
+    parts = w.view(np.float64)  # a real product per part: the same bits on every numpy loop
+    parts *= coeffs[plan.row_n][:, None]
+    c = np.zeros((n_p + 1, s.size), dtype=np.complex128)
+    np.cumsum(w[:n_p], axis=0, out=c[1:])
+    g = c[plan.hi] - c[plan.lo]
+    g += 1
+    for children, edge_rows, parents, starts in plan.levels:
+        g[parents] += np.add.reduceat(w[edge_rows] * g[children], starts, axis=0)
+    return g[0]
+
+
+def _eval_direct(plan: _EvalPlan, coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The definition: exp(-s ln n) at every n, one contiguous dot per point."""
+    return np.einsum("kn,n->k", np.exp(np.multiply.outer(-s, plan.ln_n)), coeffs)
 
 
 def eval_truncated_l_many(table: AnTable, s: np.ndarray) -> np.ndarray:
     """Vector evaluation of sum_{n<=m} a_n n^(-s); non-finite results mean
     the point escaped, they are passed through untouched.
 
-    Per block of points, row n-1 of a (m, block) array holds n^(-s):
-    exp(-s ln p) at the primes, then each level of composites by one
-    gather-multiply of two lower rows.  The reduction runs as one
-    contiguous dot product per point, so its order is the same for every
-    block width.
+    With G(x, i) the sum of a_n n^(-s) over the n <= x whose prime factors
+    are all >= p_i (n = 1 included), L_M(s) = G(m, 0) and, grouping n by
+    its smallest prime factor p_j and the power p_j^k dividing it,
+
+        G(x, i) = 1 + [c(x) - c(p_J)]
+                  + sum_{j >= i, p_j^2 <= x} sum_{p_j^k <= x}
+                        a_{p_j^k} p_j^(-ks) G(x // p_j^k, j + 1),
+
+    with c(y) = sum_{p <= y} a_p p^(-s) and p_J the last p_j of the sum
+    (p_{i-1} if none): an n <= x with all prime factors above p_J is 1 or prime.
+    Per block of points that is one exp at the primes, one multiply per
+    higher power, one cumsum along the primes, one gather of the prefix
+    sum ranges, then per depth of the tree, deepest first, one
+    gather-multiply and one segment sum into the parents.
+
+    The recursion needs a_n = a_{p^k} a_{n/p^k} in float64 for p = spf(n)
+    and p^k || n.  One vector compare per call checks it; a table that
+    fails takes the definition, exp(-s ln n) at every n and one
+    contiguous dot per point.
+
+    No step mixes points: exp and the products are elementwise, the
+    cumsum adds down a point's column one prime after another,
+    np.add.reduceat sums each segment of a column by itself, and the dot
+    runs along one point's row.  So the operations on a point, and every
+    bit of its result, are the same for every block width and batch
+    split, and a block of one point is the scalar evaluation.
     """
-    prime_rows, ln_p, levels = _eval_plan(table.m)
+    plan = _eval_plan(table.m)
     coeffs = np.asarray(table.coefficients, dtype=np.float64)
+    n, q, rest = plan.split
+    block_eval = _eval_block if np.array_equal(coeffs[n], coeffs[q] * coeffs[rest]) else _eval_direct
     s = np.asarray(s, dtype=np.complex128)
     out = np.empty(s.shape, dtype=np.complex128)
     flat = s.ravel()
     res = out.ravel()
     with np.errstate(all="ignore"):
         for start in range(0, flat.size, _EVAL_CHUNK):
-            block = flat[start : start + _EVAL_CHUNK]
-            terms = np.empty((table.m, block.size), dtype=np.complex128)
-            terms[0] = 1
-            terms[prime_rows] = np.exp(np.multiply.outer(ln_p, -block))
-            for rows, left, right in levels:
-                terms[rows] = terms[left] * terms[right]
-            res[start : start + _EVAL_CHUNK] = np.einsum(
-                "kn,n->k", np.ascontiguousarray(terms.T), coeffs
+            res[start : start + _EVAL_CHUNK] = block_eval(
+                plan, coeffs, flat[start : start + _EVAL_CHUNK]
             )
     return out
 

@@ -20,6 +20,9 @@ from lflow.errors import ConsistencyError, NumericError
 from lflow.lseries import (
     _EVAL_CHUNK,
     AnTable,
+    _eval_block,
+    _eval_direct,
+    _eval_plan,
     build_an_table,
     count_points,
     eval_truncated_l,
@@ -30,7 +33,15 @@ from lflow.lseries import (
     trace_of_frobenius,
 )
 
-from conftest import CURVE_11A1, CURVE_14A1, CURVE_15A1, CURVE_17A1, CURVE_21A1, CURVE_37A1
+from conftest import (
+    CURVE_11A1,
+    CURVE_14A1,
+    CURVE_15A1,
+    CURVE_17A1,
+    CURVE_21A1,
+    CURVE_37A1,
+    CURVE_389A1,
+)
 
 
 # ----------------------------------------------------------------- the oracle
@@ -541,3 +552,98 @@ def test_property_matches_direct_cmath_sum(tp):
             continue
         assert cmath.isfinite(value)
         assert abs(value - sum(terms)) <= 1e-10 * scale
+
+
+# ------------------------- evaluation property tests, multiplicative tables
+#
+# Tables from build_an_table are multiplicative and take the recursion over
+# smallest prime factors; the random tables above take the direct sum.
+
+
+@st.composite
+def multiplicative_tables_and_points(draw):
+    """The truncation and points of tables_and_points, with a_{p^k} drawn
+    from -60..60 (20% zeros) and extended multiplicatively."""
+    t, pts = draw(tables_and_points())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    coeffs = [0, 1]
+    for n in range(2, t.m + 1):
+        p = next(d for d in range(2, n + 1) if n % d == 0)
+        q = p
+        while n % (q * p) == 0:
+            q *= p
+        if q == n:
+            coeffs.append(0 if rng.random() < 0.2 else rng.randint(-60, 60))
+        else:
+            coeffs.append(coeffs[q] * coeffs[n // q])
+    return AnTable("multiplicative", 1, t.m, tuple(coeffs[1:])), pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(multiplicative_tables_and_points(), st.data())
+def test_property_multiplicative_scalar_equals_vector_and_batch_invariant(tp, data):
+    t, pts = tp
+    vec = eval_truncated_l_many(t, pts)
+    scalar = np.array([eval_truncated_l(t, complex(p)) for p in pts])
+    assert same_bits(vec, scalar)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(pts)), max_size=6)))
+    pieces = [eval_truncated_l_many(t, piece) for piece in np.split(pts, cuts)]
+    assert same_bits(vec, np.concatenate(pieces))
+    assert same_bits(eval_truncated_l_many(t, pts.reshape(1, -1))[0], vec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multiplicative_tables_and_points())
+def test_property_multiplicative_conjugate_symmetry_is_exact(tp):
+    t, pts = tp
+    assert same_bits(
+        eval_truncated_l_many(t, pts.conjugate()), eval_truncated_l_many(t, pts).conjugate()
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(multiplicative_tables_and_points())
+def test_property_multiplicative_matches_direct_cmath_sum(tp):
+    t, pts = tp
+    got = eval_truncated_l_many(t, pts)
+    for s, value in list(zip(pts.tolist(), got.tolist()))[:12]:
+        try:
+            terms = [an * cmath.exp(-s * math.log(n)) for n, an in enumerate(t.coefficients, 1)]
+        except OverflowError:
+            continue
+        scale = math.fsum(abs(x) for x in terms)
+        if not math.isfinite(scale):
+            continue
+        assert cmath.isfinite(value)
+        assert abs(value - sum(terms)) <= 1e-10 * scale
+
+
+def test_eval_takes_recursion_only_for_multiplicative_tables():
+    t = build_an_table(CURVE_11A1, 11, 300, "11a1")
+    pts = np.array([0.5 + 3j, -1 + 7j, 2.25 - 0.5j])
+    coeffs = np.asarray(t.coefficients, dtype=np.float64)
+    plan = _eval_plan(t.m)
+    assert same_bits(eval_truncated_l_many(t, pts), _eval_block(plan, coeffs, pts))
+    # a_6 = a_2 a_3 + 1 breaks multiplicativity at one n
+    broken = AnTable("x", 11, t.m, t.coefficients[:5] + (t.coefficients[5] + 1,) + t.coefficients[6:])
+    coeffs[5] += 1
+    assert same_bits(eval_truncated_l_many(broken, pts), _eval_direct(plan, coeffs, pts))
+
+
+@pytest.mark.parametrize(
+    "label,curve,conductor", [("11a1", CURVE_11A1, 11), ("37a1", CURVE_37A1, 37), ("389a1", CURVE_389A1, 389)]
+)
+def test_eval_escape_decision_in_the_overflow_strip(label, curve, conductor):
+    # far left, n^(-s) reaches and passes the float64 range; prefix sums
+    # must not make a point look bounded that the direct sum sends away
+    t = build_an_table(curve, conductor, 1000, label)
+    rng = np.random.default_rng(389)
+    pts = rng.uniform(-200, -50, 4096) + 1j * rng.uniform(-20, 20, 4096)
+    got = eval_truncated_l_many(t, pts)
+    log_n = np.log(np.arange(1, 1001, dtype=np.float64))
+    coeffs = np.asarray(t.coefficients, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        direct = np.concatenate(
+            [(np.exp(-np.outer(pts[i : i + 256], log_n)) * coeffs).sum(axis=1) for i in range(0, 4096, 256)]
+        )
+        assert np.array_equal(np.abs(got) <= 1e5, np.abs(direct) <= 1e5)

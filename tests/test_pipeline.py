@@ -702,6 +702,11 @@ def test_cli_errors_exit_2(fixture_catalog_path, tmp_path):
         assert "Traceback" not in r5.stderr
     assert not (tmp_path / "x.pgm").exists()
 
+    # no flag abbreviations: --m must not stand in for --master-seed
+    r7 = run_cli(["coeffs", "11a1", "--catalog", fixture_catalog_path, "--m", "5"], tmp_path)
+    assert r7.returncode == 2, r7.stderr
+    assert "unrecognized arguments: --m 5" in r7.stderr
+
     # escape rates always test every iterate, so reproduce refuses the
     # render-only final mode before it writes anything
     out = tmp_path / "final-out"
