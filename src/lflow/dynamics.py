@@ -12,6 +12,7 @@ escape rate.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -146,12 +147,30 @@ class EscapeField:
         return self.values.shape[0]
 
 
+_FIELD_BLOCK = 16384  # seeds per _iterate call in a field: bounds each thread's working set
+
+
 def escape_time_field(
-    spec, window, width: int, height: int, radius: float, iterations: int, mode: str = CUMULATIVE
+    spec,
+    window,
+    width: int,
+    height: int,
+    radius: float,
+    iterations: int,
+    mode: str = CUMULATIVE,
+    workers: int = 1,
 ) -> EscapeField:
     """Escape iterate per pixel.  Pixel (i, j) seeds at the cell center
     re_min + (i+0.5)*dre/width + 1j*(im_max - (j+0.5)*dim/height), so
-    row 0 sits at the top of the window."""
+    row 0 sits at the top of the window.
+
+    The seeds are dealt out in `workers` strided shares z0[i::workers],
+    so neighbouring pixels of similar escape time land in different
+    shares.  The calling thread iterates the first share and a pool of
+    workers - 1 threads the others, each in blocks of _FIELD_BLOCK seeds
+    through _iterate, which bounds every thread's working set.  A point's
+    orbit is the same in every block, so the field is the same for every
+    worker count."""
     w = _check_window(window)
     if width < 1 or height < 1:
         raise ValueError("field dimensions must be positive")
@@ -160,7 +179,21 @@ def escape_time_field(
     cols = w.re_min + (np.arange(width, dtype=np.float64) + 0.5) * (w.re_max - w.re_min) / width
     rows = w.im_max - (np.arange(height, dtype=np.float64) + 0.5) * (w.im_max - w.im_min) / height
     z0 = (cols[np.newaxis, :] + 1j * rows[:, np.newaxis]).ravel()
-    escape, _ = _iterate(spec, z0, radius, iterations, mode)
+    workers = max(1, min(workers, z0.size))
+    escape = np.empty(z0.size, dtype=np.int32)
+
+    def run_share(i: int) -> None:
+        share, out = z0[i::workers], escape[i::workers]
+        for start in range(0, share.size, _FIELD_BLOCK):
+            # a contiguous copy, so that a block runs the numpy loops a batch runs
+            block = np.ascontiguousarray(share[start : start + _FIELD_BLOCK])
+            out[start : start + _FIELD_BLOCK], _ = _iterate(spec, block, radius, iterations, mode)
+
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # starts no thread for one worker
+        others = [pool.submit(run_share, i) for i in range(1, workers)]
+        run_share(0)
+        for other in others:
+            other.result()
     values = escape.reshape(height, width)
     values.setflags(write=False)
     return EscapeField(values, w, float(radius), int(iterations))

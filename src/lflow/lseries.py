@@ -17,8 +17,9 @@ identity; see eval_truncated_l_many): exp at the primes, one prefix sum
 over the primes and a few hundred products per point (144 edges at M =
 1000) instead of a term per n.  The recursion holds only for a
 multiplicative table, a_n = a_{p^k} a_{n/p^k} for p = spf(n) and
-p^k || n, which every table build_an_table makes is; each call checks
-that, and any other table is summed by the definition, term by term.
+p^k || n, which every table build_an_table makes is; each table is
+checked once, and any other table is summed by the definition, term by
+term.
 Neither path mixes points, so a point's result has the same bits for
 every batch size and split.
 """
@@ -26,7 +27,9 @@ every batch size and split.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +49,16 @@ class AnTable:
             raise ValueError("coefficient table length must equal m >= 1")
         if self.coefficients[0] != 1:
             raise ValueError("a_1 must be 1")
+
+    @cached_property
+    def series(self) -> tuple[np.ndarray, bool]:
+        """(a_n as a read-only float64 array, whether the table is
+        multiplicative in float64), computed once per table for
+        eval_truncated_l_many."""
+        coeffs = np.asarray(self.coefficients, dtype=np.float64)
+        coeffs.setflags(write=False)
+        n, q, rest = _eval_plan(self.m).split
+        return coeffs, bool(np.array_equal(coeffs[n], coeffs[q] * coeffs[rest]))
 
 
 def count_points(a: tuple[int, int, int, int, int], p: int) -> int:
@@ -162,6 +175,7 @@ def sigma0_sqrt_bound(n: int) -> float:
 
 _EVAL_CHUNK = 128  # points per block; fixed, so results do not depend on the batch
 _EVAL_CACHE: dict[int, _EvalPlan] = {}
+_SCRATCH = threading.local()  # per thread: one flat complex buffer that every block reuses
 
 
 class _EvalPlan(NamedTuple):
@@ -254,23 +268,43 @@ def _eval_plan(m: int) -> _EvalPlan:
     return plan
 
 
+def _scratch_arrays(width: int, *heights: int) -> list[np.ndarray]:
+    """Contiguous (height, width) complex arrays carved out of this
+    thread's scratch buffer, which grows on demand and is never freed.
+    Fresh arrays per block would go back to the OS when freed and be
+    faulted in again by the next block."""
+    size = sum(heights) * width
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH.buf = np.empty(max(size, sum(heights) * _EVAL_CHUNK), dtype=np.complex128)
+    arrays, start = [], 0
+    for h in heights:
+        arrays.append(buf[start : start + h * width].reshape(h, width))
+        start += h * width
+    return arrays
+
+
 def _eval_block(plan: _EvalPlan, coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
     """L_M at one block of points by the recursion, for a multiplicative
     table; each point owns one column of every array."""
     n_p = plan.ln_p.size
-    w = np.empty((plan.row_n.size, s.size), dtype=np.complex128)
-    np.exp(np.multiply.outer(plan.ln_p, -s), out=w[:n_p])
+    w, c, g = _scratch_arrays(s.size, plan.row_n.size, n_p + 1, plan.lo.size)
+    np.multiply.outer(plan.ln_p, -s, out=w[:n_p])
+    np.exp(w[:n_p], out=w[:n_p])
     for first, count, prev in plan.powers:
         np.multiply(w[prev : prev + count], w[:count], out=w[first : first + count])
     parts = w.view(np.float64)  # a real product per part: the same bits on every numpy loop
     parts *= coeffs[plan.row_n][:, None]
-    c = np.zeros((n_p + 1, s.size), dtype=np.complex128)
+    c[0] = 0
     np.cumsum(w[:n_p], axis=0, out=c[1:])
-    g = c[plan.hi] - c[plan.lo]
+    np.take(c, plan.hi, axis=0, out=g)
+    g -= c[plan.lo]
     g += 1
     for children, edge_rows, parents, starts in plan.levels:
-        g[parents] += np.add.reduceat(w[edge_rows] * g[children], starts, axis=0)
-    return g[0]
+        terms = w[edge_rows]
+        terms *= g[children]
+        g[parents] += np.add.reduceat(terms, starts, axis=0)
+    return g[0].copy()
 
 
 def _eval_direct(plan: _EvalPlan, coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -298,9 +332,9 @@ def eval_truncated_l_many(table: AnTable, s: np.ndarray) -> np.ndarray:
     gather-multiply and one segment sum into the parents.
 
     The recursion needs a_n = a_{p^k} a_{n/p^k} in float64 for p = spf(n)
-    and p^k || n.  One vector compare per call checks it; a table that
-    fails takes the definition, exp(-s ln n) at every n and one
-    contiguous dot per point.
+    and p^k || n.  One vector compare per table (AnTable.series) checks
+    it; a table that fails takes the definition, exp(-s ln n) at every n
+    and one contiguous dot per point.
 
     No step mixes points: exp and the products are elementwise, the
     cumsum adds down a point's column one prime after another,
@@ -310,9 +344,8 @@ def eval_truncated_l_many(table: AnTable, s: np.ndarray) -> np.ndarray:
     split, and a block of one point is the scalar evaluation.
     """
     plan = _eval_plan(table.m)
-    coeffs = np.asarray(table.coefficients, dtype=np.float64)
-    n, q, rest = plan.split
-    block_eval = _eval_block if np.array_equal(coeffs[n], coeffs[q] * coeffs[rest]) else _eval_direct
+    coeffs, multiplicative = table.series
+    block_eval = _eval_block if multiplicative else _eval_direct
     s = np.asarray(s, dtype=np.complex128)
     out = np.empty(s.shape, dtype=np.complex128)
     flat = s.ravel()

@@ -101,8 +101,10 @@ class RunConfig:
     master_seed: int = _setting(1, int, "--master-seed", metavar="SEED")
     alpha: float = _setting(0.001, float, "--alpha", metavar="LEVEL",
                             must=(lambda a: 0 < a < 1, "lie strictly between 0 and 1"))
-    threads: int = _setting(0, int, "--threads", metavar="COUNT", must=_at_least(0),
-                            help="worker threads (0 = auto)")
+    threads: int = _setting(
+        0, int, "--threads", metavar="COUNT", must=_at_least(0),
+        help="worker threads, at most the usable CPUs (0 = all of them): "
+             "observe and reproduce share out curves, render pixel orbits")
     smoothed: bool = _setting(
         False, _parse_bool, "--smoothed", action="store_const", const=True,
         help="report the exponentially smoothed L(1) instead of the raw truncation")
@@ -373,12 +375,22 @@ def _require_cumulative(cfg: RunConfig) -> None:
         raise ConfigError(f"escape_mode {cfg.escape_mode!r} applies to render only")
 
 
+def worker_count(cfg: RunConfig) -> int:
+    """cfg.threads, or every usable CPU for 0, capped at the usable CPUs:
+    more threads than CPUs only hand the interpreter lock around."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(cfg.threads or cpus, cpus)
+
+
 def cmd_observe(manifest_labels: list[str], cfg: RunConfig) -> list[ObservationRow]:
     """One observation row per manifest label, in manifest order."""
     _require_cumulative(cfg)
     records = load_catalog_for(cfg)
     picked = [_record_by_label(records, lb) for lb in manifest_labels]
-    workers = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
+    workers = worker_count(cfg)
     if workers == 1 or len(picked) <= 1:
         return [_observe_one(r, cfg) for r in picked]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -472,7 +484,8 @@ def cmd_render(selector: str, cfg: RunConfig, width: int, height: int) -> bytes:
         raise ConfigError(f"render size {width}x{height} must be positive")
     spec = resolve_map_selector(selector, cfg)
     field = escape_time_field(
-        spec, cfg.window, width, height, cfg.radius, cfg.iterations, mode=cfg.escape_mode
+        spec, cfg.window, width, height, cfg.radius, cfg.iterations, mode=cfg.escape_mode,
+        workers=worker_count(cfg),
     )
     return pgm_bytes(field)
 

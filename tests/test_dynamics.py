@@ -3,12 +3,14 @@
 import cmath
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lflow import dynamics
 from lflow.dynamics import (
     CUMULATIVE,
     FINAL,
@@ -421,3 +423,47 @@ def test_property_kernel_split_invariant(run, data):
     tail_escape, tail_survivors = _iterate(spec, seeds[cut:], radius, iterations, mode)
     assert np.array_equal(escape, np.concatenate([head_escape, tail_escape]))
     assert survivors == [a + b for a, b in zip(head_survivors, tail_survivors)]
+
+
+TABLE_11A1 = build_an_table(CURVE_11A1, 11, 120, "11a1")
+
+
+@st.composite
+def fields_to_split(draw):
+    """A Dirichlet, polynomial or exp map, a window inside a box where it
+    both escapes and stays bounded (the exp box overflows to inf), and a
+    field of at most 9x9 pixels, so often fewer pixels than workers."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dirichlet", "polynomial", "exp"]))
+    if kind == "dirichlet":
+        spec, box = DirichletMap(TABLE_11A1), (-1.5, 4.5, -12.0, 12.0)
+    elif kind == "polynomial":
+        coeffs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(rng.randint(1, 5))]
+        spec, box = PolynomialMap(coeffs), (-2.0, 2.0, -2.0, 2.0)
+    else:
+        spec, box = ScaledExpMap(complex(rng.uniform(-2, 2), rng.uniform(-2, 2))), (-4.0, 720.0, -4.0, 4.0)
+
+    def interval(lo, hi):
+        a, b = sorted(rng.uniform(lo, hi) for _ in range(2))
+        return a, max(b, a + 1e-3)
+
+    window = (*interval(*box[:2]), *interval(*box[2:]))
+    return (spec, window, draw(st.integers(1, 9)), draw(st.integers(1, 9)),
+            draw(st.sampled_from([4.0, 1e3, 1e5])), draw(st.integers(1, 8)),
+            draw(st.sampled_from([CUMULATIVE, FINAL])))
+
+
+@settings(max_examples=120, deadline=None)
+@given(fields_to_split())
+@example((DirichletMap(TABLE_11A1), (-1.5, 4.5, 0.0, 12.0), 1, 1, 1e5, 10, CUMULATIVE))
+@example((ScaledExpMap(1.0), (-3.0, 3.0, -3.0, 3.0), 1, 1, 50.0, 6, FINAL))
+@example((PolynomialMap([0.25, 0, 1]), (-2.0, 2.0, -2.0, 2.0), 3, 1, 4.0, 8, CUMULATIVE))
+def test_property_field_same_for_every_worker_count(run):
+    spec, window, width, height, radius, iterations, mode = run
+    one = escape_time_field(spec, window, width, height, radius, iterations, mode).values
+    for block in (dynamics._FIELD_BLOCK, 1, 4):  # small blocks: several per share
+        with mock.patch.object(dynamics, "_FIELD_BLOCK", block):
+            for workers in (1, 2, 3, 5):
+                split = escape_time_field(spec, window, width, height, radius, iterations, mode,
+                                          workers=workers)
+                assert np.array_equal(split.values, one), (block, workers)

@@ -630,6 +630,27 @@ def test_eval_takes_recursion_only_for_multiplicative_tables():
     assert same_bits(eval_truncated_l_many(broken, pts), _eval_direct(plan, coeffs, pts))
 
 
+def test_series_array_and_verdict_computed_once_per_table():
+    t = build_an_table(CURVE_11A1, 11, 300, "11a1")
+    coeffs, multiplicative = t.series
+    assert t.series[0] is coeffs and multiplicative
+    assert not coeffs.flags.writeable
+    assert coeffs.tolist() == list(t.coefficients)
+    broken = AnTable("x", 11, t.m, t.coefficients[:5] + (t.coefficients[5] + 1,) + t.coefficients[6:])
+    assert broken.series[1] is False
+    assert broken == AnTable("x", 11, t.m, broken.coefficients)  # the cache is not a field
+
+
+def test_eval_block_result_survives_the_next_block():
+    # blocks share a per-thread scratch buffer, so a result must not be a view into it
+    t = build_an_table(CURVE_11A1, 11, 300, "11a1")
+    plan = _eval_plan(t.m)
+    first = _eval_block(plan, t.series[0], np.array([0.5 + 3j, 2.0 - 1j]))
+    kept = first.copy()
+    _eval_block(plan, t.series[0], np.array([1.5 + 7j, -1.0 + 2j, 3.0 + 0j]))
+    assert same_bits(first, kept)
+
+
 @pytest.mark.parametrize(
     "label,curve,conductor", [("11a1", CURVE_11A1, 11), ("37a1", CURVE_37A1, 37), ("389a1", CURVE_389A1, 389)]
 )

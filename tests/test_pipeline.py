@@ -42,6 +42,7 @@ from lflow.pipeline import (
     pgm_bytes,
     resolve_map_selector,
     serialize_an_table,
+    worker_count,
 )
 
 from conftest import CURVE_11A1, REPO_ROOT
@@ -507,9 +508,16 @@ def test_render_zeta_matches_field_oracle(fixture_catalog_path, tmp_path):
 
 def test_render_deterministic(fixture_catalog_path, tmp_path):
     cfg = base_cfg(fixture_catalog_path, tmp_path, m=100, iterations=5)
-    a = cmd_render("11a1", cfg, 16, 12)
-    b = cmd_render("11a1", cfg, 16, 12)
-    assert a == b
+    renders = [cmd_render("11a1", replace(cfg, threads=t), 16, 12) for t in (1, 2, 3, 0, 1)]
+    assert renders[1:] == renders[:-1]
+
+
+def test_worker_count_is_capped_at_the_usable_cpus():
+    cpus = worker_count(RunConfig(threads=0))
+    if hasattr(os, "sched_getaffinity"):
+        assert cpus == len(os.sched_getaffinity(0))
+    assert worker_count(RunConfig(threads=1)) == 1
+    assert worker_count(RunConfig(threads=10**6)) == cpus
 
 
 def test_resolve_map_selector_forms(fixture_catalog_path, tmp_path):
@@ -641,6 +649,19 @@ def test_cli_render_exp_map(tmp_path):
     data = out.read_bytes()
     assert data.startswith(b"P5\n20 10\n255\n")
     assert len(data) == len(b"P5\n20 10\n255\n") + 200
+
+
+def test_cli_render_same_bytes_for_every_thread_count(fixture_catalog_path, tmp_path):
+    images = []
+    for threads in ("1", "2", "1"):
+        out = tmp_path / f"threads{threads}.pgm"
+        r = run_cli(["render", "11a1", "-o", str(out), "--width", "24", "--height", "18",
+                     "--catalog", fixture_catalog_path, "--cache-dir", str(tmp_path / "cache"),
+                     "--coefficients", "150", "--threads", threads], tmp_path)
+        assert r.returncode == 0, r.stderr
+        images.append(out.read_bytes())
+    assert images[0].startswith(b"P5\n24 18\n255\n")
+    assert images[1] == images[0] == images[2]
 
 
 def test_cli_errors_exit_2(fixture_catalog_path, tmp_path):
