@@ -15,19 +15,17 @@ The truncated series L_M(s) = sum_{n<=M} a_n n^(-s) is evaluated in
 complex float64 by grouping n by its smallest prime factor (Buchstab's
 identity; see eval_truncated_l_many): exp at the primes, one prefix sum
 over the primes and a few hundred products per point (144 edges at M =
-1000) instead of a term per n.  The recursion holds only for a
-multiplicative table, a_n = a_{p^k} a_{n/p^k} for p = spf(n) and
-p^k || n, which every table build_an_table makes is; each table is
-checked once, and any other table is summed by the definition, term by
-term.
-Neither path mixes points, so a point's result has the same bits for
-every batch size and split.
+1000) instead of a term per n.  The recursion needs a multiplicative
+table, a_n = a_{p^k} a_{n/p^k} for p = spf(n) and p^k || n, which
+AnTable enforces.  No step mixes points, so a point's result has the
+same bits for every batch size and split.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -49,16 +47,18 @@ class AnTable:
             raise ValueError("coefficient table length must equal m >= 1")
         if self.coefficients[0] != 1:
             raise ValueError("a_1 must be 1")
+        c = (0, *self.coefficients)  # c[n] = a_n
+        spf = _smallest_prime_factors(self.m).tolist()
+        if any(c[n] != c[q] * c[rest] for n, q, rest in _coprime_splits(spf)):
+            raise ValueError("coefficients are not multiplicative")
 
     @cached_property
-    def series(self) -> tuple[np.ndarray, bool]:
-        """(a_n as a read-only float64 array, whether the table is
-        multiplicative in float64), computed once per table for
+    def series(self) -> np.ndarray:
+        """a_n as a read-only float64 array, converted once per table for
         eval_truncated_l_many."""
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
         coeffs.setflags(write=False)
-        n, q, rest = _eval_plan(self.m).split
-        return coeffs, bool(np.array_equal(coeffs[n], coeffs[q] * coeffs[rest]))
+        return coeffs
 
 
 def count_points(a: tuple[int, int, int, int, int], p: int) -> int:
@@ -135,6 +135,20 @@ def _smallest_prime_factors(m: int) -> np.ndarray:
     return spf
 
 
+def _coprime_splits(spf: list[int]) -> Iterator[tuple[int, int, int]]:
+    """(n, q, n // q) for every 2 <= n < len(spf) that is not a prime
+    power, ascending, with q = p^k || n and p = spf[n]."""
+    for n in range(2, len(spf)):
+        p = spf[n]
+        q = p
+        rest = n // p
+        while rest % p == 0:
+            q *= p
+            rest //= p
+        if rest > 1:
+            yield n, q, rest
+
+
 def build_an_table(
     a: tuple[int, int, int, int, int], conductor: int, m: int, label: str = ""
 ) -> AnTable:
@@ -155,15 +169,8 @@ def build_an_table(
             coeffs[q] = cur
             prev, cur = cur, ap * cur - (p * prev if good else 0)
             q *= p
-    for n in range(2, m + 1):
-        p = spf[n]
-        q = p
-        rest = n // p
-        while rest % p == 0:
-            q *= p
-            rest //= p
-        if rest > 1:
-            coeffs[n] = coeffs[q] * coeffs[rest]
+    for n, q, rest in _coprime_splits(spf):
+        coeffs[n] = coeffs[q] * coeffs[rest]
     return AnTable(label, conductor, m, tuple(coeffs[1:]))
 
 
@@ -187,8 +194,6 @@ class _EvalPlan(NamedTuple):
     lo: np.ndarray  # per node: its prime prefix sum is c[hi] - c[lo]
     hi: np.ndarray
     levels: tuple  # per depth, deepest first: (child nodes, edge rows, parents, starts)
-    split: tuple  # n - 1, q - 1, n/q - 1 for n <= m not a prime power, q = p^k || n, p = spf(n)
-    ln_n: np.ndarray  # ln n for n <= m, for tables that are not multiplicative
 
 
 def _eval_plan(m: int) -> _EvalPlan:
@@ -244,13 +249,6 @@ def _eval_plan(m: int) -> _EvalPlan:
             levels.append((slice(first, first + len(children)), edge_rows, parents, starts))
         frontier = children
 
-    n = np.arange(2, m + 1)
-    p = np.array(spf[2:], dtype=np.intp)
-    q, rest = p.copy(), n // p
-    while (more := rest % p == 0).any():  # q = p^k || n
-        q[more] *= p[more]
-        rest[more] //= p[more]
-    split = tuple(part[rest > 1] - 1 for part in (n, q, rest))
     plan = _EvalPlan(
         np.log(np.array(primes, dtype=np.float64)),
         powers,
@@ -258,11 +256,8 @@ def _eval_plan(m: int) -> _EvalPlan:
         np.array(lo, dtype=np.intp),
         np.array(hi, dtype=np.intp),
         tuple((s, np.array(r), np.array(p), np.array(st)) for s, r, p, st in reversed(levels)),
-        split,
-        np.log(np.arange(1, m + 1, dtype=np.float64)),
     )
-    for arr in (plan.ln_p, plan.row_n, plan.lo, plan.hi, plan.ln_n, *plan.split,
-                *(a for level in plan.levels for a in level[1:])):
+    for arr in (plan.ln_p, plan.row_n, plan.lo, plan.hi, *(a for lv in plan.levels for a in lv[1:])):
         arr.setflags(write=False)
     _EVAL_CACHE[m] = plan
     return plan
@@ -285,8 +280,8 @@ def _scratch_arrays(width: int, *heights: int) -> list[np.ndarray]:
 
 
 def _eval_block(plan: _EvalPlan, coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """L_M at one block of points by the recursion, for a multiplicative
-    table; each point owns one column of every array."""
+    """L_M at one block of points by the recursion; each point owns one
+    column of every array."""
     n_p = plan.ln_p.size
     w, c, g = _scratch_arrays(s.size, plan.row_n.size, n_p + 1, plan.lo.size)
     np.multiply.outer(plan.ln_p, -s, out=w[:n_p])
@@ -305,11 +300,6 @@ def _eval_block(plan: _EvalPlan, coeffs: np.ndarray, s: np.ndarray) -> np.ndarra
         terms *= g[children]
         g[parents] += np.add.reduceat(terms, starts, axis=0)
     return g[0].copy()
-
-
-def _eval_direct(plan: _EvalPlan, coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The definition: exp(-s ln n) at every n, one contiguous dot per point."""
-    return np.einsum("kn,n->k", np.exp(np.multiply.outer(-s, plan.ln_n)), coeffs)
 
 
 def eval_truncated_l_many(table: AnTable, s: np.ndarray) -> np.ndarray:
@@ -331,30 +321,23 @@ def eval_truncated_l_many(table: AnTable, s: np.ndarray) -> np.ndarray:
     sum ranges, then per depth of the tree, deepest first, one
     gather-multiply and one segment sum into the parents.
 
-    The recursion needs a_n = a_{p^k} a_{n/p^k} in float64 for p = spf(n)
-    and p^k || n.  One vector compare per table (AnTable.series) checks
-    it; a table that fails takes the definition, exp(-s ln n) at every n
-    and one contiguous dot per point.
-
     No step mixes points: exp and the products are elementwise, the
-    cumsum adds down a point's column one prime after another,
-    np.add.reduceat sums each segment of a column by itself, and the dot
-    runs along one point's row.  So the operations on a point, and every
-    bit of its result, are the same for every block width and batch
-    split, and a block of one point is the scalar evaluation.
+    cumsum adds down a point's column one prime after another, and
+    np.add.reduceat sums each segment of a column by itself.  So the
+    operations on a point, and every bit of its result, are the same for
+    every block width and batch split, and a block of one point is the
+    scalar evaluation.
     """
     plan = _eval_plan(table.m)
-    coeffs, multiplicative = table.series
-    block_eval = _eval_block if multiplicative else _eval_direct
+    coeffs = table.series
     s = np.asarray(s, dtype=np.complex128)
     out = np.empty(s.shape, dtype=np.complex128)
     flat = s.ravel()
     res = out.ravel()
     with np.errstate(all="ignore"):
         for start in range(0, flat.size, _EVAL_CHUNK):
-            res[start : start + _EVAL_CHUNK] = block_eval(
-                plan, coeffs, flat[start : start + _EVAL_CHUNK]
-            )
+            block = slice(start, start + _EVAL_CHUNK)
+            res[block] = _eval_block(plan, coeffs, flat[block])
     return out
 
 

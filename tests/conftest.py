@@ -27,3 +27,17 @@ def fixture_records(fixture_catalog_path):
     from lflow.catalog import load_catalog
 
     return load_catalog(fixture_catalog_path)
+
+
+def multiplicative_coefficients(m, prime_power_value):
+    """(a_1, ..., a_m) with a_q = prime_power_value(q) at each prime power
+    q, asked in ascending order, and a_n = a_q a_{n/q} for q = p^k || n,
+    p the smallest prime factor of n."""
+    coeffs = [0, 1]
+    for n in range(2, m + 1):
+        p = next(d for d in range(2, n + 1) if n % d == 0)
+        q = p
+        while n % (q * p) == 0:
+            q *= p
+        coeffs.append(prime_power_value(q) if q == n else coeffs[q] * coeffs[n // q])
+    return tuple(coeffs[1:])

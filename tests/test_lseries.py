@@ -21,7 +21,6 @@ from lflow.lseries import (
     _EVAL_CHUNK,
     AnTable,
     _eval_block,
-    _eval_direct,
     _eval_plan,
     build_an_table,
     count_points,
@@ -41,6 +40,7 @@ from conftest import (
     CURVE_21A1,
     CURVE_37A1,
     CURVE_389A1,
+    multiplicative_coefficients,
 )
 
 
@@ -409,20 +409,6 @@ def test_eval_matches_direct_cmath_sum():
         assert got == pytest.approx(direct, rel=1e-10, abs=1e-9)
 
 
-def test_eval_linearity_in_coefficients():
-    m = 40
-    rng = random.Random(8)
-    c1 = (1,) + tuple(rng.randint(-5, 5) for _ in range(m - 1))
-    c2 = (1,) + tuple(rng.randint(-5, 5) for _ in range(m - 1))
-    # a_1 must stay 1 in both tables, so compare against v1 + v2 - 1
-    t1, t2 = AnTable("u", 1, m, c1), AnTable("v", 1, m, c2)
-    s = 1.25 - 3j
-    v1, v2 = eval_truncated_l(t1, s), eval_truncated_l(t2, s)
-    tsum = AnTable("w", 1, m, (1,) + tuple(x + y for x, y in zip(c1[1:], c2[1:])))
-    vsum = eval_truncated_l(tsum, s)
-    assert vsum == pytest.approx(v1 + v2 - 1, rel=1e-12, abs=1e-12)
-
-
 def test_eval_conjugate_symmetry_is_exact():
     # real coefficients: L(conj s) == conj L(s) bit for bit
     t = build_an_table(CURVE_15A1, 15, 300, "15a1")
@@ -495,10 +481,13 @@ POINT_COUNTS = st.one_of(
 
 @st.composite
 def tables_and_points(draw):
+    """A truncation, a table with a_{p^k} drawn from -60..60 (20% zeros)
+    and extended multiplicatively, and points on both sides of the
+    overflow strip."""
     m = draw(TRUNCATIONS)
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    coeffs = (1,) + tuple(
-        0 if rng.random() < 0.2 else rng.randint(-60, 60) for _ in range(m - 1)
+    coeffs = multiplicative_coefficients(
+        m, lambda q: 0 if rng.random() < 0.2 else rng.randint(-60, 60)
     )
     pts = []
     for _ in range(draw(POINT_COUNTS)):
@@ -506,7 +495,7 @@ def tables_and_points(draw):
             pts.append(complex(rng.uniform(-1000, -700), rng.uniform(-20, 20)))
         else:
             pts.append(complex(rng.uniform(-3, 6), rng.uniform(-20, 20)))
-    return AnTable("random", 1, m, coeffs), np.array(pts, dtype=np.complex128)
+    return AnTable("multiplicative", 1, m, coeffs), np.array(pts, dtype=np.complex128)
 
 
 def same_bits(x, y):
@@ -516,7 +505,7 @@ def same_bits(x, y):
 
 @settings(max_examples=60, deadline=None)
 @given(tables_and_points(), st.data())
-def test_property_scalar_equals_vector_and_batch_invariant(tp, data):
+def test_property_multiplicative_scalar_equals_vector_and_batch_invariant(tp, data):
     t, pts = tp
     vec = eval_truncated_l_many(t, pts)
     scalar = np.array([eval_truncated_l(t, complex(p)) for p in pts])
@@ -529,7 +518,7 @@ def test_property_scalar_equals_vector_and_batch_invariant(tp, data):
 
 @settings(max_examples=60, deadline=None)
 @given(tables_and_points())
-def test_property_conjugate_symmetry_is_exact(tp):
+def test_property_multiplicative_conjugate_symmetry_is_exact(tp):
     t, pts = tp
     assert same_bits(
         eval_truncated_l_many(t, pts.conjugate()), eval_truncated_l_many(t, pts).conjugate()
@@ -538,7 +527,7 @@ def test_property_conjugate_symmetry_is_exact(tp):
 
 @settings(max_examples=40, deadline=None)
 @given(tables_and_points())
-def test_property_matches_direct_cmath_sum(tp):
+def test_property_multiplicative_matches_direct_cmath_sum(tp):
     t, pts = tp
     got = eval_truncated_l_many(t, pts)
     for s, value in list(zip(pts.tolist(), got.tolist()))[:12]:
@@ -554,100 +543,30 @@ def test_property_matches_direct_cmath_sum(tp):
         assert abs(value - sum(terms)) <= 1e-10 * scale
 
 
-# ------------------------- evaluation property tests, multiplicative tables
-#
-# Tables from build_an_table are multiplicative and take the recursion over
-# smallest prime factors; the random tables above take the direct sum.
-
-
-@st.composite
-def multiplicative_tables_and_points(draw):
-    """The truncation and points of tables_and_points, with a_{p^k} drawn
-    from -60..60 (20% zeros) and extended multiplicatively."""
-    t, pts = draw(tables_and_points())
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    coeffs = [0, 1]
-    for n in range(2, t.m + 1):
-        p = next(d for d in range(2, n + 1) if n % d == 0)
-        q = p
-        while n % (q * p) == 0:
-            q *= p
-        if q == n:
-            coeffs.append(0 if rng.random() < 0.2 else rng.randint(-60, 60))
-        else:
-            coeffs.append(coeffs[q] * coeffs[n // q])
-    return AnTable("multiplicative", 1, t.m, tuple(coeffs[1:])), pts
-
-
-@settings(max_examples=60, deadline=None)
-@given(multiplicative_tables_and_points(), st.data())
-def test_property_multiplicative_scalar_equals_vector_and_batch_invariant(tp, data):
-    t, pts = tp
-    vec = eval_truncated_l_many(t, pts)
-    scalar = np.array([eval_truncated_l(t, complex(p)) for p in pts])
-    assert same_bits(vec, scalar)
-    cuts = sorted(data.draw(st.lists(st.integers(0, len(pts)), max_size=6)))
-    pieces = [eval_truncated_l_many(t, piece) for piece in np.split(pts, cuts)]
-    assert same_bits(vec, np.concatenate(pieces))
-    assert same_bits(eval_truncated_l_many(t, pts.reshape(1, -1))[0], vec)
-
-
-@settings(max_examples=60, deadline=None)
-@given(multiplicative_tables_and_points())
-def test_property_multiplicative_conjugate_symmetry_is_exact(tp):
-    t, pts = tp
-    assert same_bits(
-        eval_truncated_l_many(t, pts.conjugate()), eval_truncated_l_many(t, pts).conjugate()
-    )
-
-
-@settings(max_examples=40, deadline=None)
-@given(multiplicative_tables_and_points())
-def test_property_multiplicative_matches_direct_cmath_sum(tp):
-    t, pts = tp
-    got = eval_truncated_l_many(t, pts)
-    for s, value in list(zip(pts.tolist(), got.tolist()))[:12]:
-        try:
-            terms = [an * cmath.exp(-s * math.log(n)) for n, an in enumerate(t.coefficients, 1)]
-        except OverflowError:
-            continue
-        scale = math.fsum(abs(x) for x in terms)
-        if not math.isfinite(scale):
-            continue
-        assert cmath.isfinite(value)
-        assert abs(value - sum(terms)) <= 1e-10 * scale
-
-
-def test_eval_takes_recursion_only_for_multiplicative_tables():
+def test_an_table_rejects_coefficients_that_are_not_multiplicative():
     t = build_an_table(CURVE_11A1, 11, 300, "11a1")
-    pts = np.array([0.5 + 3j, -1 + 7j, 2.25 - 0.5j])
-    coeffs = np.asarray(t.coefficients, dtype=np.float64)
-    plan = _eval_plan(t.m)
-    assert same_bits(eval_truncated_l_many(t, pts), _eval_block(plan, coeffs, pts))
-    # a_6 = a_2 a_3 + 1 breaks multiplicativity at one n
-    broken = AnTable("x", 11, t.m, t.coefficients[:5] + (t.coefficients[5] + 1,) + t.coefficients[6:])
-    coeffs[5] += 1
-    assert same_bits(eval_truncated_l_many(broken, pts), _eval_direct(plan, coeffs, pts))
-
-
-def test_series_array_and_verdict_computed_once_per_table():
-    t = build_an_table(CURVE_11A1, 11, 300, "11a1")
-    coeffs, multiplicative = t.series
-    assert t.series[0] is coeffs and multiplicative
-    assert not coeffs.flags.writeable
-    assert coeffs.tolist() == list(t.coefficients)
-    broken = AnTable("x", 11, t.m, t.coefficients[:5] + (t.coefficients[5] + 1,) + t.coefficients[6:])
-    assert broken.series[1] is False
-    assert broken == AnTable("x", 11, t.m, broken.coefficients)  # the cache is not a field
+    c = t.coefficients
+    with pytest.raises(ValueError, match="not multiplicative"):
+        AnTable("x", 11, t.m, c[:5] + (c[1] * c[2] + 1,) + c[6:])  # a_6 = a_2 a_3 + 1
+    # exact on the integers: float64 rounds a_2 a_3 + 1 to a_2 a_3
+    a2, a3 = 2**30 + 1, 2**30 + 3
+    assert float(a2 * a3 + 1) == float(a2) * float(a3)
+    with pytest.raises(ValueError, match="not multiplicative"):
+        AnTable("x", 1, 6, (1, a2, a3, 0, 0, a2 * a3 + 1))
+    assert AnTable("x", 1, 6, (1, a2, a3, 0, 0, a2 * a3)).m == 6
+    coeffs = t.series
+    assert t.series is coeffs and not coeffs.flags.writeable
+    assert coeffs.tolist() == list(c)
+    assert t == AnTable("11a1", 11, t.m, c)  # the cached array is not a field
 
 
 def test_eval_block_result_survives_the_next_block():
     # blocks share a per-thread scratch buffer, so a result must not be a view into it
     t = build_an_table(CURVE_11A1, 11, 300, "11a1")
     plan = _eval_plan(t.m)
-    first = _eval_block(plan, t.series[0], np.array([0.5 + 3j, 2.0 - 1j]))
+    first = _eval_block(plan, t.series, np.array([0.5 + 3j, 2.0 - 1j]))
     kept = first.copy()
-    _eval_block(plan, t.series[0], np.array([1.5 + 7j, -1.0 + 2j, 3.0 + 0j]))
+    _eval_block(plan, t.series, np.array([1.5 + 7j, -1.0 + 2j, 3.0 + 0j]))
     assert same_bits(first, kept)
 
 

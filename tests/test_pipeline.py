@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields as dc_fields
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lflow import cli
+from lflow import cli, pipeline
 from lflow.dynamics import NEVER, EscapeField, Window, escape_iterate
 from lflow.errors import CacheError, ConfigError, LflowError, UndefinedCorrelationError
 from lflow.lseries import AnTable, build_an_table
@@ -45,7 +46,7 @@ from lflow.pipeline import (
     worker_count,
 )
 
-from conftest import CURVE_11A1, REPO_ROOT
+from conftest import CURVE_11A1, REPO_ROOT, multiplicative_coefficients
 
 
 def base_cfg(fixture_catalog_path, tmp_path, **kw):
@@ -224,8 +225,11 @@ LABELS = st.from_regex(r"[0-9]{1,6}[a-z]{1,3}[0-9]{1,2}", fullmatch=True)
 
 @settings(max_examples=100, deadline=None)
 @given(LABELS, st.integers(1, 10**9), st.lists(st.integers(-(2**70), 2**70), max_size=300))
-def test_property_cache_round_trip(label, conductor, tail):
-    t = AnTable(label, conductor, len(tail) + 1, (1, *tail))
+def test_property_cache_round_trip(label, conductor, values):
+    # values[n - 2] is a_n at the prime powers n; the composite a_n are
+    # their products, up to about 2^280 at m = 300
+    coeffs = multiplicative_coefficients(len(values) + 1, lambda q: values[q - 2])
+    t = AnTable(label, conductor, len(coeffs), coeffs)
     assert parse_an_table(serialize_an_table(t)) == t
 
 
@@ -263,6 +267,22 @@ def test_cache_corrupt_body_raises(fixture_records, tmp_path):
     path.write_text("\n".join(good.splitlines()[:-3]) + "\n", encoding="ascii")
     with pytest.raises(CacheError):
         get_an_table(rec, 20, tmp_path)
+
+
+def test_cache_body_that_is_not_multiplicative_raises(fixture_catalog_path, fixture_records, tmp_path):
+    rec = next(r for r in fixture_records if r.label == "11a1")
+    path = cache_path(tmp_path, "11a1", 12)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    good = serialize_an_table(build_an_table(CURVE_11A1, 11, 12, "11a1"))
+    assert "\n6 2\n" in good  # a_6 = a_2 a_3 = (-2)(-1)
+    path.write_text(good.replace("\n6 2\n", "\n6 3\n"), encoding="ascii")
+    with pytest.raises(CacheError, match=r"11a1\.M12\.an: coefficients are not multiplicative"):
+        get_an_table(rec, 12, tmp_path)
+    r = run_cli(["coeffs", "11a1", "--catalog", fixture_catalog_path, "--cache-dir", str(tmp_path),
+                 "--coefficients", "12"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error:") and "not multiplicative" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_cache_undecodable_file_raises(fixture_records, tmp_path):
@@ -394,6 +414,29 @@ def test_cmd_observe_orders_and_threads_agree(fixture_catalog_path, tmp_path):
         assert [r.label for r in rows] == labels
         outputs.append(observations_to_csv(rows, cfg.iterations))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_cmd_observe_curve_pool_wider_than_the_cpus(fixture_catalog_path, tmp_path, monkeypatch):
+    # report 8 usable CPUs, so the pool really runs 3, 4 and 8 workers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    widths = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Pool)
+    cfg = base_cfg(fixture_catalog_path, tmp_path, n_seeds=120, size=9)
+    labels = parse_manifest(cmd_sample(cfg)[0])
+    assert len(labels) >= 8
+    outputs = []
+    for threads in (1, 3, 4, 8):
+        rows = cmd_observe(labels, replace(cfg, threads=threads))
+        assert [r.label for r in rows] == labels
+        outputs.append(observations_to_csv(rows, cfg.iterations))
+    assert widths == [3, 4, 8]
+    assert outputs[1:] == outputs[:1] * 3
 
 
 def test_cmd_observe_unknown_label(fixture_catalog_path, tmp_path):
