@@ -544,20 +544,31 @@ def test_property_multiplicative_matches_direct_cmath_sum(tp):
 
 
 def test_an_table_rejects_coefficients_that_are_not_multiplicative():
-    t = build_an_table(CURVE_11A1, 11, 300, "11a1")
-    c = t.coefficients
-    with pytest.raises(ValueError, match="not multiplicative"):
-        AnTable("x", 11, t.m, c[:5] + (c[1] * c[2] + 1,) + c[6:])  # a_6 = a_2 a_3 + 1
     # exact on the integers: float64 rounds a_2 a_3 + 1 to a_2 a_3
     a2, a3 = 2**30 + 1, 2**30 + 3
     assert float(a2 * a3 + 1) == float(a2) * float(a3)
     with pytest.raises(ValueError, match="not multiplicative"):
         AnTable("x", 1, 6, (1, a2, a3, 0, 0, a2 * a3 + 1))
     assert AnTable("x", 1, 6, (1, a2, a3, 0, 0, a2 * a3)).m == 6
+
+
+def test_eval_takes_recursion_only_for_multiplicative_tables():
+    t = build_an_table(CURVE_11A1, 11, 300, "11a1")
+    pts = np.array([0.5 + 3j, -1 + 7j, 2.25 - 0.5j])
+    plan = _eval_plan(t.m)
+    assert same_bits(eval_truncated_l_many(t, pts), _eval_block(plan, t.series, pts))
+    # a_6 = a_2 a_3 + 1 breaks multiplicativity at one n: such a table is never built
+    c = t.coefficients
+    with pytest.raises(ValueError, match="not multiplicative"):
+        AnTable("x", 11, t.m, c[:5] + (c[1] * c[2] + 1,) + c[6:])
+
+
+def test_series_array_and_verdict_computed_once_per_table():
+    t = build_an_table(CURVE_11A1, 11, 300, "11a1")
     coeffs = t.series
     assert t.series is coeffs and not coeffs.flags.writeable
-    assert coeffs.tolist() == list(c)
-    assert t == AnTable("11a1", 11, t.m, c)  # the cached array is not a field
+    assert coeffs.tolist() == list(t.coefficients)
+    assert t == AnTable("11a1", 11, t.m, t.coefficients)  # the cached array is not a field
 
 
 def test_eval_block_result_survives_the_next_block():
