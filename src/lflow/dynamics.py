@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericError
 from .lseries import AnTable, eval_truncated_l_many
 from .rng import unit_uniform_array
 
@@ -166,11 +165,10 @@ def escape_time_field(
 
     The seeds are dealt out in `workers` strided shares z0[i::workers],
     so neighbouring pixels of similar escape time land in different
-    shares.  The calling thread iterates the first share and a pool of
-    workers - 1 threads the others, each in blocks of _FIELD_BLOCK seeds
-    through _iterate, which bounds every thread's working set.  A point's
-    orbit is the same in every block, so the field is the same for every
-    worker count."""
+    shares.  A pool of `workers` threads iterates one share each, in
+    blocks of _FIELD_BLOCK seeds through _iterate, which bounds every
+    thread's working set.  A point's orbit is the same in every block, so
+    the field is the same for every worker count."""
     w = _check_window(window)
     if width < 1 or height < 1:
         raise ValueError("field dimensions must be positive")
@@ -189,11 +187,8 @@ def escape_time_field(
             block = np.ascontiguousarray(share[start : start + _FIELD_BLOCK])
             out[start : start + _FIELD_BLOCK], _ = _iterate(spec, block, radius, iterations, mode)
 
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # starts no thread for one worker
-        others = [pool.submit(run_share, i) for i in range(1, workers)]
-        run_share(0)
-        for other in others:
-            other.result()
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(run_share, range(workers)))
     values = escape.reshape(height, width)
     values.setflags(write=False)
     return EscapeField(values, w, float(radius), int(iterations))

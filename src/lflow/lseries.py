@@ -55,7 +55,7 @@ class AnTable:
     @cached_property
     def series(self) -> np.ndarray:
         """a_n as a read-only float64 array, converted once per table for
-        eval_truncated_l_many."""
+        eval_truncated_l_many and smoothed_l_at_one."""
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
         coeffs.setflags(write=False)
         return coeffs
@@ -359,6 +359,5 @@ def smoothed_l_at_one(table: AnTable, conductor: int | None = None) -> float:
     if n_cond < 1:
         raise ValueError("conductor must be positive")
     n = np.arange(1, table.m + 1, dtype=np.float64)
-    coeffs = np.asarray(table.coefficients, dtype=np.float64)
     weights = np.exp(-2.0 * math.pi * n / math.sqrt(n_cond))
-    return float(np.sum(2.0 * coeffs / n * weights))
+    return float(np.sum(2.0 * table.series / n * weights))

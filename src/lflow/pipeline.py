@@ -390,10 +390,7 @@ def cmd_observe(manifest_labels: list[str], cfg: RunConfig) -> list[ObservationR
     _require_cumulative(cfg)
     records = load_catalog_for(cfg)
     picked = [_record_by_label(records, lb) for lb in manifest_labels]
-    workers = worker_count(cfg)
-    if workers == 1 or len(picked) <= 1:
-        return [_observe_one(r, cfg) for r in picked]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(worker_count(cfg)) as pool:
         return list(pool.map(lambda r: _observe_one(r, cfg), picked))
 
 

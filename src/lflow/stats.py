@@ -57,6 +57,8 @@ def spearman_rho(x, y) -> float:
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 3:
         raise UndefinedCorrelationError("need at least 3 pairs")
+    if any(math.isnan(v) for v in x + y):  # NaN has no rank: it compares false with everything
+        raise UndefinedCorrelationError("correlation undefined for NaN input")
     return _pearson(average_ranks(x), average_ranks(y))
 
 

@@ -461,9 +461,18 @@ def fields_to_split(draw):
 def test_property_field_same_for_every_worker_count(run):
     spec, window, width, height, radius, iterations, mode = run
     one = escape_time_field(spec, window, width, height, radius, iterations, mode).values
+    sizes = []  # seeds per _iterate call; list.append is atomic across the pool's threads
+
+    def counted(spec, z0, *rest):
+        sizes.append(z0.size)
+        return _iterate(spec, z0, *rest)
+
     for block in (dynamics._FIELD_BLOCK, 1, 4):  # small blocks: several per share
-        with mock.patch.object(dynamics, "_FIELD_BLOCK", block):
-            for workers in (1, 2, 3, 5):
+        with mock.patch.object(dynamics, "_FIELD_BLOCK", block), \
+                mock.patch.object(dynamics, "_iterate", counted):
+            for workers in range(1, 9) if block == 4 else (1, 2, 3, 5, 8):
+                sizes.clear()
                 split = escape_time_field(spec, window, width, height, radius, iterations, mode,
                                           workers=workers)
                 assert np.array_equal(split.values, one), (block, workers)
+                assert sum(sizes) == width * height and max(sizes) <= block, (block, workers)

@@ -417,7 +417,7 @@ def test_cmd_observe_orders_and_threads_agree(fixture_catalog_path, tmp_path):
 
 
 def test_cmd_observe_curve_pool_wider_than_the_cpus(fixture_catalog_path, tmp_path, monkeypatch):
-    # report 8 usable CPUs, so the pool really runs 3, 4 and 8 workers
+    # report 8 usable CPUs, so the pool really runs 2, 3, 4, 5 and 8 workers
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     widths = []
 
@@ -431,12 +431,12 @@ def test_cmd_observe_curve_pool_wider_than_the_cpus(fixture_catalog_path, tmp_pa
     labels = parse_manifest(cmd_sample(cfg)[0])
     assert len(labels) >= 8
     outputs = []
-    for threads in (1, 3, 4, 8):
+    for threads in (1, 2, 3, 4, 5, 8):
         rows = cmd_observe(labels, replace(cfg, threads=threads))
         assert [r.label for r in rows] == labels
         outputs.append(observations_to_csv(rows, cfg.iterations))
-    assert widths == [3, 4, 8]
-    assert outputs[1:] == outputs[:1] * 3
+    assert widths == [1, 2, 3, 4, 5, 8]  # one worker is a pool of one
+    assert outputs[1:] == outputs[:1] * 5
 
 
 def test_cmd_observe_unknown_label(fixture_catalog_path, tmp_path):
@@ -742,6 +742,17 @@ def test_cli_errors_exit_2(fixture_catalog_path, tmp_path):
     # the 11a1 model under a conductor it does not have: good reduction at 5
     wrong_conductor = tmp_path / "wrong-conductor.txt"
     wrong_conductor.write_text("55 a 1 [0,-1,1,-10,-20] 0 5\n")
+    # the wrong conductor raises on a pool thread, between two good curves
+    mixed_catalog = tmp_path / "mixed.txt"
+    mixed_catalog.write_text("11 a 1 [0,-1,1,-10,-20] 0 5\n" + wrong_conductor.read_text())
+    mixed_manifest = tmp_path / "mixed-manifest.txt"
+    mixed_manifest.write_text("11a1\n55a1\n11a1\n")
+    # a NaN tau ranks nowhere, so correlate refuses it in every row order
+    nan_csvs = [tmp_path / "nan-first.csv", tmp_path / "nan-third.csv"]
+    good_rows = ["11a1,11,0.1,0.2,9,8", "14a1,14,0.3,0.1,9,8", "15a1,15,0.2,0.4,9,8"]
+    for path, at in zip(nan_csvs, (0, 2)):
+        body = good_rows[:at] + ["17a1,17,0.4,nan,9,8"] + good_rows[at:]
+        path.write_text("label,conductor,l1,tau,s0,s1\n" + "\n".join(body) + "\n")
     bad_cfgs = [tmp_path / "radius.cfg", tmp_path / "window.cfg"]
     bad_cfgs[0].write_text("radius=abc\n")
     bad_cfgs[1].write_text("window=1,2,3,x\n")
@@ -756,6 +767,7 @@ def test_cli_errors_exit_2(fixture_catalog_path, tmp_path):
         ["coeffs", "55a1", "--catalog", str(wrong_conductor), "--cache-dir", str(tmp_path / "cache55"),
          "--coefficients", "6"],
         ["sample", "--catalog", fixture_catalog_path, "--bad-prime", "4"],
+    ] + [["correlate", str(path)] for path in nan_csvs] + [
         ["sample", "--catalog", fixture_catalog_path, "--threads", "-3"],
         ["sample", "--catalog", fixture_catalog_path, "--strata", "-2"],
     ] + [["sample", "--catalog", fixture_catalog_path, "--config", str(f)] for f in bad_cfgs]
@@ -765,6 +777,16 @@ def test_cli_errors_exit_2(fixture_catalog_path, tmp_path):
         assert r5.stderr.startswith("error:"), (argv, r5.stderr)
         assert "Traceback" not in r5.stderr
     assert not (tmp_path / "x.pgm").exists()
+
+    for threads in ("1", "2"):
+        r8 = run_cli(["observe", str(mixed_manifest), "--catalog", str(mixed_catalog),
+                      "--cache-dir", str(tmp_path / f"cache-mixed{threads}"),
+                      "--coefficients", "6", "--n-seeds", "50", "--iterations", "3",
+                      "--threads", threads], tmp_path)
+        assert r8.returncode == 2, (threads, r8.stderr)
+        assert r8.stderr.startswith(
+            "error: p=5 divides the conductor but the reduction is smooth"), (threads, r8.stderr)
+        assert "Traceback" not in r8.stderr
 
     # no flag abbreviations: --m must not stand in for --master-seed
     r7 = run_cli(["coeffs", "11a1", "--catalog", fixture_catalog_path, "--m", "5"], tmp_path)

@@ -92,6 +92,11 @@ def test_spearman_rejects_degenerate_input():
         spearman_rho([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(UndefinedCorrelationError):
         spearman_rho([1.0, 2.0], [3.0, 4.0])  # n < 3
+    for x in ([math.nan, 1.0, 2.0, 3.0], [1.0, 2.0, math.nan, 3.0]):  # NaN in any position
+        with pytest.raises(UndefinedCorrelationError):
+            spearman_rho(x, [4.0, 1.0, 3.0, 2.0])
+        with pytest.raises(UndefinedCorrelationError):
+            spearman_rho([4.0, 1.0, 3.0, 2.0], x)
 
 
 # -------------------------------------------------------------------- t tail
