@@ -201,7 +201,8 @@ def cache_path(cache_dir, label: str, m: int) -> Path:
 
 
 def serialize_an_table(table: AnTable) -> str:
-    lines = [f"# label={table.label} N={table.conductor} M={table.m}"]
+    model = ",".join(map(str, table.a_invariants))
+    lines = [f"# label={table.label} N={table.conductor} M={table.m} a={model}"]
     lines.extend(f"{n} {a}" for n, a in enumerate(table.coefficients, start=1))
     return "\n".join(lines) + "\n"
 
@@ -216,6 +217,8 @@ def parse_an_table(text: str, path="<cache>") -> AnTable:
         label = meta["label"]
         conductor = int(meta["N"])
         m = int(meta["M"])
+        model = meta.get("a", "")  # absent in older files, which then do not match
+        a_invariants = tuple(int(ai) for ai in model.split(",")) if model else ()
     except (ValueError, KeyError) as exc:
         raise CacheError(f"{path}: bad header {lines[0]!r}: {exc}") from None
     body = [ln for ln in lines[1:] if ln.strip()]
@@ -234,18 +237,20 @@ def parse_an_table(text: str, path="<cache>") -> AnTable:
             raise CacheError(f"{path}: coefficient index {n} out of order (expected {i})")
         coeffs.append(a_n)
     try:
-        return AnTable(label, conductor, m, tuple(coeffs))
+        return AnTable(label, conductor, m, tuple(coeffs), a_invariants)
     except ValueError as exc:
         raise CacheError(f"{path}: {exc}") from None
 
 
 def get_an_table(record: cat.CurveRecord, m: int, cache_dir) -> AnTable:
-    """Cache lookup keyed by (label, conductor, m); a header that does not
-    match the request is silently rebuilt, a corrupt body raises."""
+    """Cache lookup keyed by (label, conductor, m, a-invariants); a header
+    that does not match the request is silently rebuilt, a corrupt body
+    raises."""
     path = cache_path(cache_dir, record.label, m)
     if path.exists():
         table = parse_an_table(read_text(path, error=CacheError), path)
-        if table.label == record.label and table.conductor == record.conductor and table.m == m:
+        key = (record.label, record.conductor, m, record.a_invariants)
+        if (table.label, table.conductor, table.m, table.a_invariants) == key:
             return table
     table = build_an_table(record.a_invariants, record.conductor, m, record.label)
     path.parent.mkdir(parents=True, exist_ok=True)

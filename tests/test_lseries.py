@@ -9,6 +9,8 @@ O(p^2) count, an O(p) Euler-criterion count in Python ints stands in.
 import cmath
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from lflow.lseries import (
     AnTable,
     _eval_block,
     _eval_plan,
+    _taylor_degree,
     build_an_table,
     count_points,
     eval_truncated_l,
@@ -479,11 +482,40 @@ POINT_COUNTS = st.one_of(
 )
 
 
+# Taylor cells cover -3.5 < Re s < 5.5, |Im s| <= 12.5 (np.rint ties to even; see eval_truncated_l_many)
+HALF_INTEGERS = [k + 0.5 for k in range(-6, 14)]
+GRID_BORDER_RE = [-3.5, math.nextafter(-3.5, 0), 5.5, math.nextafter(5.5, 0), 4.5, -2.5]
+GRID_BORDER_IM = [12.5, math.nextafter(12.5, 0), math.nextafter(12.5, 13), 11.5]
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+def special_point(rng):
+    """A point where a rule of the cell path decides: a cell edge (np.rint
+    ties at half-integers), the real axis with Im s = +0.0 or -0.0, the
+    border of the grid, or a non-finite part."""
+    kind = rng.choice(["edge", "axis", "border", "non-finite"])
+    x, y = rng.uniform(-4, 7), rng.uniform(-14, 14)
+    if kind == "edge":
+        x, y = rng.choice([(rng.choice(HALF_INTEGERS), y), (x, rng.choice(HALF_INTEGERS)),
+                           (rng.choice(HALF_INTEGERS), rng.choice(HALF_INTEGERS))])
+    elif kind == "axis":
+        y = rng.choice([0.0, -0.0])
+        x = rng.choice([x, float(rng.randint(-4, 6)), rng.choice(HALF_INTEGERS)])
+    elif kind == "border":
+        x, y = rng.choice(GRID_BORDER_RE), rng.choice(GRID_BORDER_IM) * rng.choice([1, -1])
+        x, y = rng.choice([(x, y), (x, rng.uniform(-12.5, 12.5)), (rng.uniform(-3.5, 5.5), y)])
+    else:
+        x, y = rng.choice([(rng.choice(NON_FINITE), y), (x, rng.choice(NON_FINITE)),
+                           (rng.choice(NON_FINITE), rng.choice(NON_FINITE))])
+    return complex(x, y)
+
+
 @st.composite
 def tables_and_points(draw):
     """A truncation, a table with a_{p^k} drawn from -60..60 (20% zeros)
     and extended multiplicatively, and points on both sides of the
-    overflow strip."""
+    overflow strip, inside and outside the Taylor cells, and on the
+    edges where the path a point takes is decided."""
     m = draw(TRUNCATIONS)
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     coeffs = multiplicative_coefficients(
@@ -491,10 +523,13 @@ def tables_and_points(draw):
     )
     pts = []
     for _ in range(draw(POINT_COUNTS)):
-        if rng.random() < 0.1:  # far left: n^(-s) overflows for n >= 3
+        u = rng.random()
+        if u < 0.1:  # far left: n^(-s) overflows for n >= 3
             pts.append(complex(rng.uniform(-1000, -700), rng.uniform(-20, 20)))
+        elif u < 0.4:
+            pts.append(special_point(rng))
         else:
-            pts.append(complex(rng.uniform(-3, 6), rng.uniform(-20, 20)))
+            pts.append(complex(rng.uniform(-4, 7), rng.uniform(-20, 20)))
     return AnTable("multiplicative", 1, m, coeffs), np.array(pts, dtype=np.complex128)
 
 
@@ -553,14 +588,103 @@ def test_an_table_rejects_coefficients_that_are_not_multiplicative():
 
 
 def test_eval_takes_recursion_only_for_multiplicative_tables():
+    # outside the Taylor cells the recursion runs, bit for bit; inside, the
+    # cells agree with it to the cell tolerance
     t = build_an_table(CURVE_11A1, 11, 300, "11a1")
-    pts = np.array([0.5 + 3j, -1 + 7j, 2.25 - 0.5j])
     plan = _eval_plan(t.m)
-    assert same_bits(eval_truncated_l_many(t, pts), _eval_block(plan, t.series, pts))
+    outside = np.array([-5 + 3j, 6 + 0j, 0.5 + 13j, 2.25 - 12.75j, -3.5 + 1j, 5.5 - 1j,
+                        complex(math.nan, 1), complex(1, math.inf), complex(-math.inf, 0)])
+    with np.errstate(all="ignore"):
+        recursion = _eval_block(plan, t.series, outside)
+    assert same_bits(eval_truncated_l_many(t, outside), recursion)
+    inside = np.array([0.5 + 3j, -1 + 7j, 2.25 - 0.5j, -3.25 + 12.5j, 5.25 - 12.5j, 1 + 0j])
+    got = eval_truncated_l_many(t, inside)
+    recursion = _eval_block(plan, t.series, inside)
+    for s, value, expected in zip(inside.tolist(), got.tolist(), recursion.tolist()):
+        assert abs(value - expected) <= CELL_TOLERANCE * abs_term_sum(t, s)
+    assert not same_bits(got, recursion)  # the cells, not the recursion, gave these
     # a_6 = a_2 a_3 + 1 breaks multiplicativity at one n: such a table is never built
     c = t.coefficients
     with pytest.raises(ValueError, match="not multiplicative"):
         AnTable("x", 11, t.m, c[:5] + (c[1] * c[2] + 1,) + c[6:])
+
+
+CELL_TOLERANCE = 1e-12  # of sum |a_n n^(-s)|, for points in a Taylor cell
+
+
+def abs_term_sum(t, s):
+    return math.fsum(abs(a) * math.exp(-s.real * math.log(n)) for n, a in enumerate(t.coefficients, 1))
+
+
+def cell_points():
+    """The centre, the four corners and one inner point of every cell."""
+    return np.array([complex(i + dx, j + dy) for i in range(-3, 6) for j in range(13)
+                     for dx, dy in ((0, 0), (0.5, 0.5), (-0.5, 0.5), (0.5, -0.5), (-0.5, -0.5), (0.3, -0.2))])
+
+
+def test_taylor_degree_is_the_smallest_that_keeps_the_bound():
+    def bound(m, degree):  # (r ln m)^(D+1) / (D+1)! * m^r with r = 1/sqrt(2)
+        x = math.sqrt(0.5) * math.log(m)
+        return math.exp((degree + 1) * math.log(x) - math.lgamma(degree + 2) + x) if m > 1 else 0.0
+
+    assert (_taylor_degree(1000), _taylor_degree(10000)) == (38, 45)
+    for m in (1, 2, 97, 1000, 1193, 10000, 10**6):
+        degree = _taylor_degree(m)
+        assert bound(m, degree) <= 1e-17
+        assert degree == 0 or bound(m, degree - 1) > 1e-17
+
+
+@pytest.mark.parametrize("m", [1, 2, 97, 1000, 1193, 10000])
+def test_cells_match_fsum_direct_sum(m):
+    # the degree follows m, so the remainder stays below the roundoff at
+    # every truncation; the reference sums each part with math.fsum
+    t = build_an_table(CURVE_389A1, 389, m, "389a1")
+    pts = cell_points()
+    got = eval_truncated_l_many(t, pts)
+    log_n = np.log(np.arange(1, m + 1, dtype=np.float64))
+    for s, value in zip(pts.tolist(), got.tolist()):
+        terms = t.series * np.exp(-s * log_n)
+        direct = complex(math.fsum(terms.real), math.fsum(terms.imag))
+        assert abs(value - direct) <= CELL_TOLERANCE * math.fsum(np.abs(terms)), s
+
+
+def test_cells_keep_the_sign_of_zero_under_conjugation():
+    # a cell point with the sign bit of Im s set is conj L(conj s), so on
+    # the real axis L(x - 0j) is L(x + 0j) with the sign of its zero flipped
+    t = build_an_table(CURVE_15A1, 15, 300, "15a1")
+    xs = [-3.5 + 1e-9, -2.0, 0.5, 1.0, 2.5, 5.25]
+    upper = eval_truncated_l_many(t, np.array([complex(x, 0.0) for x in xs]))
+    lower = eval_truncated_l_many(t, np.array([complex(x, -0.0) for x in xs]))
+    assert same_bits(lower.real, upper.real)
+    assert np.array_equal(np.signbit(lower.imag), ~np.signbit(upper.imag))
+    assert not upper.imag.any()
+
+
+def test_cell_coefficients_have_the_same_bits_for_any_threads_and_order():
+    pts = cell_points()
+
+    def cells_built(groups, workers):
+        t = build_an_table(CURVE_389A1, 389, 1000, "389a1")
+        with ThreadPoolExecutor(workers) as pool:
+            values = list(pool.map(lambda g: eval_truncated_l_many(t, g), groups))
+        coeffs, built = t._cells
+        assert built.all()
+        return coeffs.copy(), values
+
+    reference, _ = cells_built([pts], 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for seed, workers in ((1, 1), (2, 2), (3, 2), (4, 1), (5, 2)):
+            order = np.random.default_rng(seed).permutation(pts.size)
+            cuts = np.sort(np.random.default_rng(seed).choice(pts.size, 40, replace=False))
+            groups = np.split(pts[order], cuts)
+            coeffs, values = cells_built(groups, workers)
+            assert same_bits(coeffs, reference)
+            assert same_bits(np.concatenate(values), eval_truncated_l_many(build_an_table(
+                CURVE_389A1, 389, 1000, "389a1"), pts[order]))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_series_array_and_verdict_computed_once_per_table():
@@ -568,7 +692,7 @@ def test_series_array_and_verdict_computed_once_per_table():
     coeffs = t.series
     assert t.series is coeffs and not coeffs.flags.writeable
     assert coeffs.tolist() == list(t.coefficients)
-    assert t == AnTable("11a1", 11, t.m, t.coefficients)  # the cached array is not a field
+    assert t == AnTable("11a1", 11, t.m, t.coefficients, CURVE_11A1)  # the cached array is not a field
 
 
 def test_eval_block_result_survives_the_next_block():

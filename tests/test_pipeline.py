@@ -216,7 +216,7 @@ def test_flag_and_config_file_agree(field, tmp_path):
 def test_cache_round_trip(tmp_path):
     t = build_an_table(CURVE_11A1, 11, 40, "11a1")
     text = serialize_an_table(t)
-    assert text.startswith("# label=11a1 N=11 M=40\n1 1\n2 -2\n")
+    assert text.startswith("# label=11a1 N=11 M=40 a=0,-1,1,-10,-20\n1 1\n2 -2\n")
     assert parse_an_table(text) == t
 
 
@@ -254,6 +254,31 @@ def test_cache_header_mismatch_rebuilds(fixture_records, tmp_path):
     t = get_an_table(rec, 30, tmp_path)
     assert t.m == 30
     assert parse_an_table(path.read_text(encoding="ascii")) == t
+
+
+def test_cache_rebuilds_after_a_catalog_edit(fixture_catalog_path, tmp_path):
+    # the 37a1 line edited to carry 37b1's model: same label, conductor and
+    # M, other a_n, so only the a-invariants in the header tell them apart
+    from lflow.catalog import load_catalog
+
+    text = open(fixture_catalog_path, encoding="ascii").read()
+    assert "\n37 a 1 [0,0,1,-1,0] 1 1\n" in text
+    edited = tmp_path / "edited.txt"
+    edited.write_text(text.replace("\n37 a 1 [0,0,1,-1,0] 1 1\n", "\n37 a 1 [0,1,1,-3,1] 1 1\n"))
+    cache = tmp_path / "cache"
+    old = get_an_table(next(r for r in load_catalog(fixture_catalog_path) if r.label == "37a1"), 40, cache)
+    new = get_an_table(next(r for r in load_catalog(edited) if r.label == "37a1"), 40, cache)
+    assert new.coefficients == build_an_table((0, 1, 1, -3, 1), 37, 40).coefficients
+    assert new.coefficients != old.coefficients
+    header = cache_path(cache, "37a1", 40).read_text(encoding="ascii").splitlines()[0]
+    assert header == "# label=37a1 N=37 M=40 a=0,1,1,-3,1"
+    # a file from before the a-invariants were in the header is rebuilt too
+    path = cache_path(cache, "37a1", 40)
+    path.write_text(serialize_an_table(old).replace(" a=0,0,1,-1,0\n", "\n", 1))
+    assert path.read_text().startswith("# label=37a1 N=37 M=40\n1 1\n")
+    rec = next(r for r in load_catalog(fixture_catalog_path) if r.label == "37a1")
+    assert get_an_table(rec, 40, cache) == old
+    assert path.read_text().startswith("# label=37a1 N=37 M=40 a=0,0,1,-1,0\n")
 
 
 def test_cache_corrupt_body_raises(fixture_records, tmp_path):
@@ -814,6 +839,6 @@ def test_cli_coeffs_prints_cache_format(fixture_catalog_path, tmp_path):
         tmp_path,
     )
     assert r.returncode == 0, r.stderr
-    assert r.stdout.startswith("# label=11a1 N=11 M=12\n1 1\n2 -2\n3 -1\n")
+    assert r.stdout.startswith("# label=11a1 N=11 M=12 a=0,-1,1,-10,-20\n1 1\n2 -2\n3 -1\n")
     table = parse_an_table(r.stdout)
     assert table.coefficients[:10] == (1, -2, -1, 2, 1, 2, -2, 0, -2, -2)
