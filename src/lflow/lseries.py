@@ -6,10 +6,10 @@ equation mod p, at good and bad primes alike.  The reduction type is read
 off the discriminant, not off the points: the cubic is singular mod p
 exactly when p | disc, and it then has exactly one singular point, an
 affine one (Silverman, The Arithmetic of Elliptic Curves, Prop. III.1.4
-and III.2.5).  For odd p the count evaluates the completed-square cubic
-g(x) at every x in one int64 Horner pass and reads N_p off a histogram of
-g mod p at the nonzero squares.  Coefficients extend to all n <= M
-through the Hecke recursion at prime powers plus multiplicativity.
+and III.2.5).  A batch of curves is counted together, one prime at a
+time, from the completed-square cubic g(x) at every x, one row per curve,
+and the Legendre table mod p (see _point_counts).  Coefficients extend to
+all n <= M through the Hecke recursion at prime powers plus multiplicativity.
 
 The truncated series L_M(s) = sum_{n<=M} a_n n^(-s) is evaluated in
 complex float64 in one of two ways, chosen by the point alone (see
@@ -22,18 +22,18 @@ Schoenhage (1988): unit squares around the centres s0 = i + j*1j (i =
 1/sqrt(2) the largest |s - s0| in a cell, D is the smallest degree with
 (r ln M)^(D+1) / (D+1)! * M^r <= 1e-17, which bounds the remainder by
 1e-17 sum |a_n| n^(-Re s0) (D = 38 at M = 1000, 45 at M = 10000).  A
-table fills its cells lazily, each once, under a per-table lock.  A
-point whose Im s has its sign bit set (-0.0 included) is evaluated as
-conj L(conj s), so conjugate symmetry stays exact.
+table fills its cells lazily, each once, under a per-table lock.
 
 Every other point, non-finite ones included, is summed by grouping n by
 its smallest prime factor (Buchstab's identity): exp at the primes, one
 prefix sum over the primes and a few hundred products per point (144
 edges at M = 1000) instead of a term per n.  The recursion needs a
 multiplicative table, a_n = a_{p^k} a_{n/p^k} for p = spf(n) and p^k ||
-n, which AnTable enforces exactly on the integers.  Neither path mixes
-points, so a point's result has the same bits for every batch size and
-split and at every thread count.
+n, which AnTable enforces exactly on the integers.  On both paths a
+point whose Im s has its sign bit set (-0.0 included) is evaluated as
+conj L(conj s), so conjugate symmetry is exact, the sign of zero
+included.  Neither path mixes points, so a point's result has the same
+bits for every batch size and split and at every thread count.
 """
 
 from __future__ import annotations
@@ -77,69 +77,72 @@ class AnTable:
         return coeffs
 
 
+_COUNT_BLOCK = 16384  # values of g per pass: bounds the count's working set
+
+
+def _point_counts(models: list, p: int) -> list[int]:
+    """N_p of every model at p, all counted at once.  For odd p, (2y + a1*x +
+    a3)^2 = g(x) = 4x^3 + b2*x^2 + 2*b4*x + b6 has 1 + chi(g(x)) roots y, chi
+    the Legendre symbol, so N_p = p + sum_x chi(g(x)).  Each model is a row
+    of g over x with a scalar p, by Horner's rule reduced mod p after the
+    quadratic step and at the end, so every intermediate stays below 5p^2:
+    int32 when that is below 2^31, else int64 (exact for p below 1.3e9).  A
+    pass covers at most _COUNT_BLOCK values of g, whole rows while p allows."""
+    if p == 2:  # the four (x, y) pairs, where x^3 = x^2 = x and y^2 = y
+        return [sum((y * (1 + a1 * x + a3) + x * (1 + a2 + a4) + a6) % 2 == 0 for x in (0, 1) for y in (0, 1))
+                for a1, a2, a3, a4, a6 in models]
+    dtype = np.int32 if 5 * p * p < 2**31 else np.int64
+    b = np.array([((a1 * a1 + 4 * a2) % p, 2 * (2 * a4 + a1 * a3) % p, (a3 * a3 + 4 * a6) % p)
+                  for a1, a2, a3, a4, a6 in models], dtype=dtype).reshape(-1, 3, 1).transpose(1, 0, 2)
+    squares = np.arange(1, (p + 1) // 2, dtype=dtype) ** 2
+    squares -= squares // p * p
+    chi = np.full(p, -1)
+    chi[squares.astype(np.intp)] = 1
+    chi[0] = 0
+    rows, width = max(1, _COUNT_BLOCK // p), min(p, _COUNT_BLOCK)
+    counts = []
+    for top in range(0, len(models), rows):
+        b2, b4, b6 = b[:, top : top + rows]
+        n_p = p
+        for start in range(0, p, width):
+            x = np.arange(start, min(start + width, p), dtype=dtype)
+            g = 4 * x + b2
+            g *= x
+            g += b4
+            g -= g // p * p
+            g *= x
+            g += b6
+            g -= g // p * p
+            n_p += chi[g.astype(np.intp)].sum(axis=1)
+        counts += n_p.tolist()
+    return counts
+
+
 def count_points(a: tuple[int, int, int, int, int], p: int) -> int:
-    """N_p, the number of affine solutions of the Weierstrass equation
-    over F_p, the singular point (if any) included.
+    """N_p, the number of affine solutions of the Weierstrass equation over
+    F_p, the singular point (if any) included: _point_counts for one model."""
+    return _point_counts([a], p)[0]
 
-    p = 2 tries the four (x, y) pairs.  For odd p, completing the square
-    gives (2y + a1*x + a3)^2 = g(x) with g(x) = 4x^3 + b2*x^2 + 2*b4*x + b6,
-    so x has one solution when g(x) = 0, two when g(x) is a nonzero square
-    and none otherwise.  g runs over all x in one int64 Horner pass,
-    reduced mod p after the quadratic step and at the end, so every
-    intermediate stays below 5p^2 (exact in int64 for p below 1.3e9).
-    With counts the histogram of g mod p, N_p = counts[0] + 2 * sum of
-    counts[h^2 mod p] over h = 1..(p-1)/2, which hits each nonzero square
-    once.
-    """
-    a1, a2, a3, a4, a6 = (ai % p for ai in a)
-    if p == 2:
-        return sum(
-            (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0
-            for x in (0, 1)
-            for y in (0, 1)
-        )
-    b2 = (a1 * a1 + 4 * a2) % p
-    b4 = (2 * a4 + a1 * a3) % p
-    b6 = (a3 * a3 + 4 * a6) % p
 
-    x = np.arange(p, dtype=np.int64)
-    g = 4 * x
-    g += b2
-    g *= x
-    g += 2 * b4
-    g -= (g // p) * p
-    g *= x
-    g += b6
-    g -= (g // p) * p
-    counts = np.bincount(g, minlength=p)
-    squares = x[1 : (p + 1) // 2] ** 2
-    squares -= (squares // p) * p
-    return int(counts[0]) + 2 * int(counts[squares].sum())
+def _checked_trace(n_p: int, p: int, conductor: int, disc: int) -> int:
+    """a_p = p - n_p.  The reduction is singular exactly when p | disc
+    (Silverman, Prop. III.1.4), which must hold exactly at the primes
+    dividing the conductor; a good-prime trace must obey the Hasse bound."""
+    a_p = p - n_p
+    if conductor % p and not disc % p:
+        raise ConsistencyError(f"p={p} does not divide the conductor but the reduction is singular; "
+                               "model is not minimal or the conductor is wrong")
+    if conductor % p and a_p * a_p > 4 * p:
+        raise ConsistencyError(f"a_{p} = {a_p} violates the Hasse bound")
+    if not conductor % p and disc % p:
+        raise ConsistencyError(f"p={p} divides the conductor but the reduction is smooth; the conductor is wrong")
+    return a_p
 
 
 def trace_of_frobenius(a: tuple[int, int, int, int, int], p: int, conductor: int) -> int:
     """Frobenius trace a_p = p + 1 - #E(F_p) = p - N_p, the point at
-    infinity counted, at good and bad primes alike.
-
-    The reduction is singular exactly when p | disc (Silverman, Prop.
-    III.1.4), which must hold exactly at the primes dividing the conductor;
-    a good-prime trace must obey the Hasse bound.
-    """
-    a_p = p - count_points(a, p)
-    singular = discriminant(a) % p == 0
-    if conductor % p:
-        if singular:
-            raise ConsistencyError(
-                f"p={p} does not divide the conductor but the reduction is singular; "
-                "model is not minimal or the conductor is wrong"
-            )
-        if a_p * a_p > 4 * p:
-            raise ConsistencyError(f"a_{p} = {a_p} violates the Hasse bound")
-    elif not singular:
-        raise ConsistencyError(
-            f"p={p} divides the conductor but the reduction is smooth; the conductor is wrong"
-        )
-    return a_p
+    infinity counted, at good and bad primes alike (see _checked_trace)."""
+    return _checked_trace(count_points(a, p), p, conductor, discriminant(a))
 
 
 def _smallest_prime_factors(m: int) -> np.ndarray:
@@ -179,29 +182,43 @@ def _coprime_splits(m: int) -> Iterator[tuple[int, int, int]]:
         yield from zip(*splits[:, start : start + 1024].tolist())
 
 
-def build_an_table(
-    a: tuple[int, int, int, int, int], conductor: int, m: int, label: str = ""
-) -> AnTable:
-    """Coefficients a_1 .. a_m: traces at primes, Hecke recursion at prime
-    powers (the p*a_{p^{k-1}} term dropped at bad primes), multiplicative
-    across coprime factors."""
+def build_an_tables(curves: list[tuple], m: int) -> list[AnTable]:
+    """The tables a_1 .. a_m of (a-invariants, conductor, label) curves, in
+    one pass over the primes that counts all curves at once: traces at
+    primes, Hecke recursion at prime powers (the p*a_{p^{k-1}} term dropped
+    at bad primes), multiplicative across coprime factors.  The first curve
+    in order that fails _checked_trace raises the error it raises alone."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    coeffs = [0] * (m + 1)
-    coeffs[1] = 1
+    models = [a for a, _, _ in curves]
+    discs = [discriminant(a) for a in models]
+    coeffs = [[0, 1] + [0] * (m - 1) for _ in curves]
+    errors = {}
     spf = _smallest_prime_factors(m).tolist()
     for p in (n for n in range(2, m + 1) if spf[n] == n):
-        ap = trace_of_frobenius(a, p, conductor)
-        good = conductor % p != 0
-        prev, cur = 1, ap  # a_{p^0}, a_{p^1}
-        q = p
-        while q <= m:
-            coeffs[q] = cur
-            prev, cur = cur, ap * cur - (p * prev if good else 0)
-            q *= p
-    for n, q, rest in _coprime_splits(m):
-        coeffs[n] = coeffs[q] * coeffs[rest]
-    return AnTable(label, conductor, m, tuple(coeffs[1:]), tuple(a))
+        for i, n_p in enumerate(_point_counts(models, p)):
+            conductor = curves[i][1]
+            try:
+                a_p = _checked_trace(n_p, p, conductor, discs[i])
+            except ConsistencyError as exc:
+                errors.setdefault(i, exc)
+                continue
+            prev, cur, q = 1, a_p, p  # a_{p^0}, a_{p^1}
+            while q <= m:
+                coeffs[i][q] = cur
+                prev, cur = cur, a_p * cur - (p * prev if conductor % p else 0)
+                q *= p
+    if errors:
+        raise errors[min(errors)]
+    for c in coeffs:
+        for n, q, rest in _coprime_splits(m):
+            c[n] = c[q] * c[rest]
+    return [AnTable(label, n, m, tuple(c[1:]), tuple(a)) for (a, n, label), c in zip(curves, coeffs)]
+
+
+def build_an_table(a: tuple[int, int, int, int, int], conductor: int, m: int, label: str = "") -> AnTable:
+    """build_an_tables for one curve."""
+    return build_an_tables([(a, conductor, label)], m)[0]
 
 
 def sigma0_sqrt_bound(n: int) -> float:
@@ -413,16 +430,16 @@ def eval_truncated_l_many(table: AnTable, s: np.ndarray) -> np.ndarray:
     """Vector evaluation of sum_{n<=m} a_n n^(-s); non-finite results mean
     the point escaped, they are passed through untouched.
 
-    A point s with Im s >= +0.0 whose nearest centre s0 = i + j*1j
-    (np.rint per part, ties to even) has -3 <= i <= 5 and j <= 12 takes
-    that Taylor cell: L_M(s) = sum_{k<=D} c_k (s - s0)^k, with D =
+    A point with the sign bit of Im s set is evaluated as conj L(conj s),
+    on either path, so conjugate symmetry is exact, the sign of zero
+    included.  A point s with Im s >= +0.0 whose nearest centre s0 = i +
+    j*1j (np.rint per part, ties to even) has -3 <= i <= 5 and j <= 12
+    takes that Taylor cell: L_M(s) = sum_{k<=D} c_k (s - s0)^k, with D =
     _taylor_degree(m) (38 at m = 1000, 45 at m = 10000) bounding the
     remainder by 1e-17 sum |a_n| n^(-Re s0), since |s - s0| <= 1/sqrt(2).
-    A point with the sign bit of Im s set is evaluated as conj L(conj s),
-    so conjugate symmetry is exact, the sign of zero included.  A cell's
-    c_k are built on the first point that lands in it, once per table
-    under the table's lock (see _cell_coefficients), so each cell has
-    the same bits at every thread count and in every order.  The powers
+    A cell's c_k are built on the first point that lands in it, once per
+    table under the table's lock (see _cell_coefficients), so each cell
+    has the same bits at every thread count and in every order.  The powers
     (s - s0)^k come from one cumprod along the point's own row and are
     summed along it, so no step mixes points.
 
@@ -463,7 +480,7 @@ def eval_truncated_l_many(table: AnTable, s: np.ndarray) -> np.ndarray:
         rest = np.flatnonzero(~in_grid)
         for start in range(0, rest.size, _EVAL_CHUNK):
             block = rest[start : start + _EVAL_CHUNK]
-            res[block] = _eval_block(plan, table.series, flat[block])
+            res[block] = _eval_block(plan, table.series, upper[block])
         inside = np.flatnonzero(in_grid)
         if inside.size:
             col, row = col[inside], row[inside]
@@ -472,9 +489,8 @@ def eval_truncated_l_many(table: AnTable, s: np.ndarray) -> np.ndarray:
             ds = upper[inside] - ((col + _CELL_LEFT) + 1j * row)
             for start in range(0, inside.size, _EVAL_CHUNK):
                 block = slice(start, start + _EVAL_CHUNK)
-                value = _eval_cells(coeffs, cells[block], ds[block])
-                points = inside[block]
-                res[points] = np.where(fold[points], value.conj(), value)
+                res[inside[block]] = _eval_cells(coeffs, cells[block], ds[block])
+        np.conjugate(res, out=res, where=fold)
     return out
 
 

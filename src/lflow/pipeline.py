@@ -33,7 +33,7 @@ from .dynamics import (
 )
 from .errors import CacheError, ConfigError, LflowError, UndefinedCorrelationError, read_text
 from .formal_group import nonic_integer_coefficients, nonic_polynomial
-from .lseries import AnTable, build_an_table, l_at_one, smoothed_l_at_one
+from .lseries import AnTable, build_an_table, build_an_tables, l_at_one, smoothed_l_at_one
 from .stats import CorrelationReport, correlation_report
 
 CATALOG_ENV = "LFLOW_CATALOG"
@@ -242,17 +242,17 @@ def parse_an_table(text: str, path="<cache>") -> AnTable:
         raise CacheError(f"{path}: {exc}") from None
 
 
-def get_an_table(record: cat.CurveRecord, m: int, cache_dir) -> AnTable:
-    """Cache lookup keyed by (label, conductor, m, a-invariants); a header
-    that does not match the request is silently rebuilt, a corrupt body
-    raises."""
+def _cached_table(record: cat.CurveRecord, m: int, cache_dir) -> AnTable | None:
+    """The record's cached table, or None when there is no file or its header
+    does not match (label, conductor, m, a-invariants); a corrupt body raises."""
     path = cache_path(cache_dir, record.label, m)
-    if path.exists():
-        table = parse_an_table(read_text(path, error=CacheError), path)
-        key = (record.label, record.conductor, m, record.a_invariants)
-        if (table.label, table.conductor, table.m, table.a_invariants) == key:
-            return table
-    table = build_an_table(record.a_invariants, record.conductor, m, record.label)
+    table = parse_an_table(read_text(path, error=CacheError), path) if path.exists() else None
+    key = (record.label, record.conductor, m, record.a_invariants)
+    return table if table and (table.label, table.conductor, table.m, table.a_invariants) == key else None
+
+
+def _store(table: AnTable, cache_dir) -> AnTable:
+    path = cache_path(cache_dir, table.label, table.m)
     path.parent.mkdir(parents=True, exist_ok=True)
     # a temp file of its own per writer, so concurrent builders of one
     # table never rename each other's file away
@@ -265,6 +265,24 @@ def get_an_table(record: cat.CurveRecord, m: int, cache_dir) -> AnTable:
         os.unlink(tmp)
         raise
     return table
+
+
+def get_an_table(record: cat.CurveRecord, m: int, cache_dir) -> AnTable:
+    """One record's table through the cache, as in get_an_tables, but a miss
+    is built by build_an_table: the per-table build that perfbench traces."""
+    table = _cached_table(record, m, cache_dir)
+    return table or _store(build_an_table(record.a_invariants, record.conductor, m, record.label), cache_dir)
+
+
+def get_an_tables(records: list[cat.CurveRecord], m: int, cache_dir) -> list[AnTable]:
+    """The records' tables, in order: each record's cache file is read once
+    (see _cached_table), then all misses are built by one build_an_tables,
+    which raises for the first inconsistent record, and written."""
+    found = {record: _cached_table(record, m, cache_dir) for record in dict.fromkeys(records)}
+    misses = [r for r, table in found.items() if table is None]
+    built = build_an_tables([(r.a_invariants, r.conductor, r.label) for r in misses], m)
+    found.update((r, _store(table, cache_dir)) for r, table in zip(misses, built))
+    return [found[r] for r in records]
 
 
 # --- observations CSV ----------------------------------------------------
@@ -360,8 +378,7 @@ def parse_manifest(text: str) -> list[str]:
     return labels
 
 
-def _observe_one(record: cat.CurveRecord, cfg: RunConfig) -> ObservationRow:
-    table = get_an_table(record, cfg.m, cfg.cache_dir)
+def _observe_one(record: cat.CurveRecord, table: AnTable, cfg: RunConfig) -> ObservationRow:
     l1 = smoothed_l_at_one(table) if cfg.smoothed else l_at_one(table)
     est = estimate_escape_rate(
         DirichletMap(table),
@@ -391,12 +408,18 @@ def worker_count(cfg: RunConfig) -> int:
 
 
 def cmd_observe(manifest_labels: list[str], cfg: RunConfig) -> list[ObservationRow]:
-    """One observation row per manifest label, in manifest order."""
+    """One observation row per manifest label, in manifest order.  The
+    tables come first, from one get_an_tables on this thread; the pool
+    then runs each curve's L(1) and escape iteration, and each table (with
+    its Taylor cells) goes once its curve is done."""
     _require_cumulative(cfg)
     records = load_catalog_for(cfg)
     picked = [_record_by_label(records, lb) for lb in manifest_labels]
+    tables = get_an_tables(picked, cfg.m, cfg.cache_dir)
     with ThreadPoolExecutor(worker_count(cfg)) as pool:
-        return list(pool.map(lambda r: _observe_one(r, cfg), picked))
+        rows = pool.map(_observe_one, picked, tables, [cfg] * len(picked))
+        del tables
+        return list(rows)
 
 
 def correlate_rows(rows: list[ObservationRow], alpha: float) -> tuple[CorrelationReport, int]:

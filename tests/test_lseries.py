@@ -24,8 +24,10 @@ from lflow.lseries import (
     AnTable,
     _eval_block,
     _eval_plan,
+    _point_counts,
     _taylor_degree,
     build_an_table,
+    build_an_tables,
     count_points,
     eval_truncated_l,
     eval_truncated_l_many,
@@ -169,22 +171,28 @@ def change_coordinates(a, r, s, t):
 
 @st.composite
 def models_mod_odd_primes(draw):
-    """(a-invariants, odd p < 300): random models, models singular mod p and
-    non-minimal models (every a_i divisible by p^i, a cusp mod p)."""
+    """(a-invariants, odd p < 300): see model_mod."""
     p = draw(st.sampled_from(ODD_PRIMES_BELOW_300))
+    return draw(model_mod(p)), p
+
+
+@st.composite
+def model_mod(draw, p):
+    """a-invariants for the odd prime p: a random model, a model singular
+    mod p or a non-minimal model (every a_i divisible by p^i, a cusp mod p)."""
     kind = draw(st.sampled_from(["random", "singular", "non-minimal"]))
     if kind == "random":
-        return tuple(draw(st.integers(-(10**9), 10**9)) for _ in range(5)), p
+        return tuple(draw(st.integers(-(10**9), 10**9)) for _ in range(5))
     if kind == "non-minimal":
         base = [draw(st.integers(-9, 9)) for _ in range(5)]
-        return tuple(ai * p**i for ai, i in zip(base, (1, 2, 3, 4, 6))), p
+        return tuple(ai * p**i for ai, i in zip(base, (1, 2, 3, 4, 6)))
     # y^2 + a1*x*y = x^3 + a2*x^2 has a node or cusp at the origin; move it
     # by a random change of coordinates, then lift each a_i by multiples of p
     a1, a2 = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
     r, s, t = (draw(st.integers(0, p - 1)) for _ in range(3))
     moved = change_coordinates((a1, a2, 0, 0, 0), r, s, t)
     lifts = (draw(st.integers(-(10**9) // p, 10**9 // p - 1)) for _ in range(5))
-    return tuple(ai % p + k * p for ai, k in zip(moved, lifts)), p
+    return tuple(ai % p + k * p for ai, k in zip(moved, lifts))
 
 
 @settings(max_examples=80, deadline=None)
@@ -224,6 +232,37 @@ def test_fast_count_matches_euler_oracle_at_large_primes(p):
     for a in (CURVE_11A1, CURVE_37A1, (0, 0, 0, -(10**9), 10**9 - 7)):
         smooth, singular = euler_counts(a, p)
         assert count_points(a, p) == smooth + len(singular), a
+
+
+# 5p^2 < 2^31 up to p = 20719, so 20717 counts in int32 and 20731 in int64;
+# 8191 and 20717 exceed the rows or the width of one pass of _COUNT_BLOCK
+BATCH_PRIMES = [3, 5, 7, 11, 97, 997, 8191, 20717, 20731]
+
+
+@st.composite
+def batches_mod_a_prime(draw):
+    p = draw(st.sampled_from(BATCH_PRIMES))
+    return draw(st.lists(model_mod(p), min_size=1, max_size=5)), p
+
+
+@settings(max_examples=40, deadline=None)
+@given(batches_mod_a_prime())
+def test_property_batched_count_equals_count_points_and_the_oracle(batch):
+    models, p = batch
+    counts = _point_counts(models, p)
+    assert counts == [count_points(a, p) for a in models]
+    for a, n_p in zip(models, counts):
+        smooth, singular = euler_counts(a, p)
+        assert n_p == smooth + len(singular), (a, p)
+
+
+def test_batched_count_at_two_matches_the_oracle():
+    models = [CURVE_11A1, CURVE_14A1, (0, 0, 0, 0, 1), (1, 1, 1, 1, 1), (0, 1, 0, 4, 4)]
+    expected = []
+    for a in models:
+        smooth, singular = oracle_counts(a, 2)
+        expected.append(smooth + len(singular))
+    assert _point_counts(models, 2) == expected
 
 
 def test_supersingular_count_where_an_unreduced_cubic_overflows():
@@ -359,6 +398,33 @@ def test_an_table_multiplicativity_and_hecke(fixture_records):
                 expected = c[p] * c[k] - (p * c[k // p] if good else 0)
                 assert c[k * p] == expected, (rec.label, p, k)
                 k *= p
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.sampled_from([1, 2, 3, 60, 300]))
+def test_property_batched_tables_equal_one_at_a_time_builds(fixture_records, data, m):
+    picks = data.draw(st.lists(st.sampled_from(fixture_records), min_size=1, max_size=8))
+    picks += data.draw(st.lists(st.sampled_from(picks), max_size=4))  # repeats
+    picks = data.draw(st.permutations(picks))
+    curves = [(r.a_invariants, r.conductor, r.label) for r in picks]
+    assert build_an_tables(curves, m) == [build_an_table(a, n, m, label) for a, n, label in curves]
+
+
+def test_batched_tables_raise_the_first_inconsistent_curve_in_order():
+    good = (CURVE_11A1, 11, "11a1")
+    late = (CURVE_11A1, 55, "55a1")  # smooth at 5, which the conductor claims is bad
+    early = (CURVE_11A1, 22, "22a1")  # the same at 2, so the pass meets it first
+    cusp = ((0, 0, 0, 0, 0), 1, "1a1")  # y^2 = x^3 is singular at every prime
+    for batch in ([good, late, early, good], [late, cusp], [cusp, early], [early, late]):
+        first = next(c for c in batch if c != good)
+        with pytest.raises(ConsistencyError) as alone:
+            build_an_table(*first[:2], 12, first[2])
+        with pytest.raises(ConsistencyError) as batched:
+            build_an_tables(batch, 12)
+        assert str(batched.value) == str(alone.value)
+    assert build_an_tables([], 12) == []
+    with pytest.raises(ValueError):
+        build_an_tables([good], 0)
 
 
 def test_an_table_divisor_bound(fixture_records):
@@ -649,10 +715,12 @@ def test_cells_match_fsum_direct_sum(m):
 
 
 def test_cells_keep_the_sign_of_zero_under_conjugation():
-    # a cell point with the sign bit of Im s set is conj L(conj s), so on
-    # the real axis L(x - 0j) is L(x + 0j) with the sign of its zero flipped
+    # a point with the sign bit of Im s set is conj L(conj s), in a cell
+    # and on the recursion alike, so on the real axis L(x - 0j) is
+    # L(x + 0j) with the sign of its zero flipped; 7, -10, 6.3 and -3.7
+    # lie outside the grid
     t = build_an_table(CURVE_15A1, 15, 300, "15a1")
-    xs = [-3.5 + 1e-9, -2.0, 0.5, 1.0, 2.5, 5.25]
+    xs = [-3.5 + 1e-9, -2.0, 0.5, 1.0, 2.5, 5.25, 7.0, -10.0, 6.3, -3.7]
     upper = eval_truncated_l_many(t, np.array([complex(x, 0.0) for x in xs]))
     lower = eval_truncated_l_many(t, np.array([complex(x, -0.0) for x in xs]))
     assert same_bits(lower.real, upper.real)

@@ -4,7 +4,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields as dc_fields
 from dataclasses import replace
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from lflow import cli, pipeline
 from lflow.dynamics import NEVER, EscapeField, Window, escape_iterate
-from lflow.errors import CacheError, ConfigError, LflowError, UndefinedCorrelationError
+from lflow.errors import CacheError, ConfigError, ConsistencyError, LflowError, UndefinedCorrelationError
 from lflow.lseries import AnTable, build_an_table
 from lflow.pipeline import (
     PRESETS,
@@ -34,6 +36,7 @@ from lflow.pipeline import (
     correlate_rows,
     format_report,
     get_an_table,
+    get_an_tables,
     observations_to_csv,
     parse_an_table,
     parse_config_file,
@@ -318,23 +321,43 @@ def test_cache_undecodable_file_raises(fixture_records, tmp_path):
         get_an_table(rec, 12, tmp_path)
 
 
-def test_cache_concurrent_writers_of_one_table(fixture_catalog_path, tmp_path):
-    # a manifest that repeats one label makes every worker build and write
-    # the same table at once on a fresh cache
+def test_cache_concurrent_writers_of_one_table(fixture_records, tmp_path):
+    # threads released together build and write the same table at once on
+    # a fresh cache; every one must return it and leave one whole file
+    rec = next(r for r in fixture_records if r.label == "11a1")
     expected = serialize_an_table(build_an_table(CURVE_11A1, 11, 150, "11a1")).encode("ascii")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for run in range(40):
             cache = tmp_path / f"cache{run}"
-            cfg = base_cfg(fixture_catalog_path, tmp_path, cache_dir=str(cache),
-                           threads=4, n_seeds=8, iterations=1)
-            rows = cmd_observe(["11a1"] * 8, cfg)
-            assert len(set(rows)) == 1
+            start = threading.Barrier(4)
+
+            def write(_):
+                start.wait(timeout=60)
+                return get_an_table(rec, 150, cache)
+
+            with ThreadPoolExecutor(4) as pool:
+                tables = list(pool.map(write, range(4)))
+            assert len(set(tables)) == 1
             assert sorted(p.name for p in cache.iterdir()) == ["11a1.M150.an"]
             assert cache_path(cache, "11a1", 150).read_bytes() == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_get_an_tables_reads_hits_and_builds_each_miss_once(fixture_records, tmp_path):
+    by_label = {r.label: r for r in fixture_records}
+    picked = [by_label[lb] for lb in ("37a1", "11a1", "37a1", "389a1", "11a1")]
+    get_an_table(by_label["389a1"], 40, tmp_path)
+    stamp = cache_path(tmp_path, "389a1", 40).stat().st_mtime_ns
+    tables = get_an_tables(picked, 40, tmp_path)
+    assert tables == [build_an_table(r.a_invariants, r.conductor, 40, r.label) for r in picked]
+    assert tables[0] is tables[2] and tables[1] is tables[4]  # a repeated label is built once
+    assert cache_path(tmp_path, "389a1", 40).stat().st_mtime_ns == stamp  # a hit is not rewritten
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["11a1.M40.an", "37a1.M40.an", "389a1.M40.an"]
+    for table in set(tables):
+        assert parse_an_table(cache_path(tmp_path, table.label, 40).read_text()) == table
 
 
 def test_cache_missing_header(tmp_path):
@@ -462,6 +485,48 @@ def test_cmd_observe_curve_pool_wider_than_the_cpus(fixture_catalog_path, tmp_pa
         outputs.append(observations_to_csv(rows, cfg.iterations))
     assert widths == [1, 2, 3, 4, 5, 8]  # one worker is a pool of one
     assert outputs[1:] == outputs[:1] * 5
+
+
+def test_cmd_observe_frees_each_table_when_its_curve_is_done(fixture_catalog_path, tmp_path, monkeypatch):
+    cfg = base_cfg(fixture_catalog_path, tmp_path, threads=1, n_seeds=20, iterations=2, size=5)
+    labels = parse_manifest(cmd_sample(cfg)[0])
+    observe_one, done = pipeline._observe_one, []
+
+    def observe_and_check(record, table, cfg):
+        assert all(ref() is None for ref in done)  # the earlier curves' tables are gone
+        done.append(weakref.ref(table))
+        return observe_one(record, table, cfg)
+
+    monkeypatch.setattr(pipeline, "_observe_one", observe_and_check)
+    rows = cmd_observe(labels, cfg)
+    monkeypatch.undo()
+    assert len(done) == len(labels) == 5
+    assert rows == cmd_observe(labels, cfg)
+
+
+def test_cmd_observe_raises_for_the_first_failing_record_in_manifest_order(tmp_path):
+    # the 11a1 model under two wrong conductors: 55 fails at p = 5 and 22
+    # at p = 2, so one pass over the primes meets 22a1 first
+    catalog = tmp_path / "wrong.txt"
+    catalog.write_text("".join(f"{n} a 1 [0,-1,1,-10,-20] 0 5\n" for n in (11, 22, 55)))
+    cfg = base_cfg(str(catalog), tmp_path, m=12, n_seeds=20, iterations=2)
+    alone = {}
+    for label in ("22a1", "55a1"):
+        with pytest.raises(ConsistencyError) as exc:
+            cmd_observe([label], cfg)
+        alone[label] = str(exc.value)
+    assert alone["22a1"] != alone["55a1"]
+    for manifest, first in ((["11a1", "55a1", "22a1", "55a1"], "55a1"), (["22a1", "11a1", "55a1"], "22a1")):
+        with pytest.raises(ConsistencyError) as exc:
+            cmd_observe(manifest, cfg)
+        assert str(exc.value) == alone[first], manifest
+    assert not os.path.exists(cfg.cache_dir)  # a batch that raises writes no table
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("11a1\n55a1\n22a1\n")
+    r = run_cli(["observe", str(manifest), "--catalog", str(catalog), "--cache-dir", str(tmp_path / "cli"),
+                 "--coefficients", "12", "--n-seeds", "20", "--iterations", "2"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == f"error: {alone['55a1']}\n"
 
 
 def test_cmd_observe_unknown_label(fixture_catalog_path, tmp_path):
