@@ -20,6 +20,7 @@ from .rng import unit_uniform
 
 _LABEL_RE = re.compile(r"^(\d+)([a-z]+)(\d+)$")
 _AINVS_RE = re.compile(r"^\[(-?\d+),(-?\d+),(-?\d+),(-?\d+),(-?\d+)\]$")
+AInvariants = tuple[int, int, int, int, int]  # (a1, a2, a3, a4, a6) of a Weierstrass model
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,7 @@ class CurveRecord:
     conductor: int
     isogeny_class: str
     curve_index: int
-    a_invariants: tuple[int, int, int, int, int]
+    a_invariants: AInvariants
     rank: int
     torsion: int
 
@@ -36,7 +37,7 @@ class CurveRecord:
         return f"{self.conductor}{self.isogeny_class}{self.curve_index}"
 
 
-def b_invariants(a: tuple[int, int, int, int, int]) -> tuple[int, int, int, int]:
+def b_invariants(a: AInvariants) -> tuple[int, int, int, int]:
     """(b2, b4, b6, b8) of a Weierstrass model, exact integers."""
     a1, a2, a3, a4, a6 = a
     b2 = a1 * a1 + 4 * a2
@@ -48,13 +49,13 @@ def b_invariants(a: tuple[int, int, int, int, int]) -> tuple[int, int, int, int]
     return b2, b4, b6, num // 4
 
 
-def c_invariants(a: tuple[int, int, int, int, int]) -> tuple[int, int]:
+def c_invariants(a: AInvariants) -> tuple[int, int]:
     """(c4, c6) of a Weierstrass model."""
     b2, b4, b6, _ = b_invariants(a)
     return b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6
 
 
-def discriminant(a: tuple[int, int, int, int, int]) -> int:
+def discriminant(a: AInvariants) -> int:
     b2, b4, b6, b8 = b_invariants(a)
     return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 

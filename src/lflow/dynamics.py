@@ -75,10 +75,12 @@ class PolynomialMap:
 
 
 class ScaledExpMap:
-    """z -> lam * exp(z)."""
+    """z -> lam * exp(z), for a finite lam."""
 
     def __init__(self, lam: complex):
         self.lam = complex(lam)
+        if not np.isfinite(self.lam):
+            raise ValueError("lambda must be finite")
 
     def apply_many(self, z: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):

@@ -22,7 +22,8 @@ Schoenhage (1988): unit squares around the centres s0 = i + j*1j (i =
 1/sqrt(2) the largest |s - s0| in a cell, D is the smallest degree with
 (r ln M)^(D+1) / (D+1)! * M^r <= 1e-17, which bounds the remainder by
 1e-17 sum |a_n| n^(-Re s0) (D = 38 at M = 1000, 45 at M = 10000).  A
-table fills its cells lazily, each once, under a per-table lock.
+table builds each cell once, under a per-table lock, with the first call
+that needs it: the cells a call lacks together, in bounded blocks.
 
 Every other point, non-finite ones included, is summed by grouping n by
 its smallest prime factor (Buchstab's identity): exp at the primes, one
@@ -42,12 +43,12 @@ import math
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import discriminant
+from .catalog import AInvariants, discriminant
 from .errors import ConsistencyError, NumericError
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ def _point_counts(models: list, p: int) -> list[int]:
     return counts
 
 
-def count_points(a: tuple[int, int, int, int, int], p: int) -> int:
+def count_points(a: AInvariants, p: int) -> int:
     """N_p, the number of affine solutions of the Weierstrass equation over
     F_p, the singular point (if any) included: _point_counts for one model."""
     return _point_counts([a], p)[0]
@@ -139,7 +140,7 @@ def _checked_trace(n_p: int, p: int, conductor: int, disc: int) -> int:
     return a_p
 
 
-def trace_of_frobenius(a: tuple[int, int, int, int, int], p: int, conductor: int) -> int:
+def trace_of_frobenius(a: AInvariants, p: int, conductor: int) -> int:
     """Frobenius trace a_p = p + 1 - #E(F_p) = p - N_p, the point at
     infinity counted, at good and bad primes alike (see _checked_trace)."""
     return _checked_trace(count_points(a, p), p, conductor, discriminant(a))
@@ -216,36 +217,33 @@ def build_an_tables(curves: list[tuple], m: int) -> list[AnTable]:
     return [AnTable(label, n, m, tuple(c[1:]), tuple(a)) for (a, n, label), c in zip(curves, coeffs)]
 
 
-def build_an_table(a: tuple[int, int, int, int, int], conductor: int, m: int, label: str = "") -> AnTable:
+def build_an_table(a: AInvariants, conductor: int, m: int, label: str = "") -> AnTable:
     """build_an_tables for one curve."""
     return build_an_tables([(a, conductor, label)], m)[0]
 
 
 def sigma0_sqrt_bound(n: int) -> float:
     """sigma_0(n) * sqrt(n), the coefficient size bound."""
-    divisors = sum(1 for d in range(1, n + 1) if n % d == 0)
-    return divisors * math.sqrt(n)
+    return sum(n % d == 0 for d in range(1, n + 1)) * math.sqrt(n)
 
 
 _EVAL_CHUNK = 128  # points per block; fixed, so results do not depend on the batch
-_EVAL_CACHE: dict[int, _EvalPlan] = {}
-_EVAL_CACHE_LOCK = threading.Lock()  # one plan build per m, however many threads ask
+_EVAL_PLAN_LOCK = threading.Lock()  # one plan build per m, however many threads ask
 _SCRATCH = threading.local()  # per thread: one flat complex buffer that every block reuses
 
 # Taylor cells: unit squares centred on s0 = i + j*1j, i = -3..5, j = 0..12,
 # so |s - s0| <= 1/sqrt(2) in a cell; cell j*9 + i + 3 holds c_0..c_D
 _CELL_LEFT, _CELL_COLUMNS, _CELL_ROWS = -3, 9, 13
 _CELL_COUNT = _CELL_COLUMNS * _CELL_ROWS
-_CELL_RADIUS = math.sqrt(0.5)
-_CELL_BOUND = 1e-17  # truncation error per unit of sum |a_n| n^(-Re s0)
+_CELL_BLOCK = 8192  # terms a_n n^(-s0) per block of cells: bounds each block's working set
 
 
 def _taylor_degree(m: int) -> int:
     """The smallest D with (r ln m)^(D+1) / (D+1)! * m^r <= 1e-17, r the
     cell radius: the remainder after c_D, per unit of sum |a_n| n^(-Re s0)."""
-    x = _CELL_RADIUS * math.log(m)
+    x = math.sqrt(0.5) * math.log(m)  # r ln m, r = 1/sqrt(2)
     degree, term = 0, math.exp(x) * x
-    while term > _CELL_BOUND:
+    while term > 1e-17:  # per unit of sum |a_n| n^(-Re s0)
         degree += 1
         term *= x / (degree + 1)
     return degree
@@ -261,18 +259,17 @@ class _EvalPlan(NamedTuple):
     hi: np.ndarray
     levels: tuple  # per depth, deepest first: (child nodes, edge rows, parents, starts)
     ln_n: np.ndarray  # ln n for n = 1..m
-    phase: np.ndarray  # n^(-1j) = exp(-1j ln n) for n = 1..m
+    phases: np.ndarray  # (13, m): row j holds n^(-ij) = (n^(-1j))**j, the factor of cell row j
     taylor: np.ndarray  # (D+1, m): row k holds (-ln n)^k / k!
 
 
 def _eval_plan(m: int) -> _EvalPlan:
     """The plan for tables of length m, built once on first use and cached."""
-    with _EVAL_CACHE_LOCK:
-        if m not in _EVAL_CACHE:
-            _EVAL_CACHE[m] = _build_eval_plan(m)
-        return _EVAL_CACHE[m]
+    with _EVAL_PLAN_LOCK:
+        return _build_eval_plan(m)
 
 
+@cache
 def _build_eval_plan(m: int) -> _EvalPlan:
     """Rows hold the prime powers q <= m: the primes ascending, then the
     squares, the cubes and so on, each in the order of their primes, so
@@ -281,7 +278,8 @@ def _build_eval_plan(m: int) -> _EvalPlan:
     order from the root (m, 0); every other node is the child (x // q,
     j + 1) of one edge q = p_j^k of its parent, so each depth's children
     are one slice of nodes, grouped by parent.  The Taylor rows hold
-    (-ln n)^k / k! for k <= D, the cells' common factor.
+    (-ln n)^k / k! for k <= D, the factor all cells share, and the phase
+    rows n^(-ij) for j = 0..12, the factor of each row of cells.
     """
     spf = _smallest_prime_factors(m).tolist()
     is_prime = [n >= 2 and spf[n] == n for n in range(m + 1)]
@@ -319,7 +317,8 @@ def _build_eval_plan(m: int) -> _EvalPlan:
                 starts.append(n_children)
         first += len(frontier)
         if children:
-            levels.append((slice(first, first + len(children)), edge_rows, parents, starts))
+            levels.append((slice(first, first + len(children)),
+                           np.array(edge_rows), np.array(parents), np.array(starts)))
         frontier = children
 
     ln_n = np.log(np.arange(1, m + 1, dtype=np.float64))
@@ -328,19 +327,22 @@ def _build_eval_plan(m: int) -> _EvalPlan:
     for k in range(1, taylor.shape[0]):
         np.multiply(taylor[k - 1], ln_n / -k, out=taylor[k])
 
+    phase = np.exp(ln_n * -1j)  # n^(-1j)
+    phases = np.empty((_CELL_ROWS, m), complex)  # filled in place: a list of rows would double it
+    for j in range(_CELL_ROWS):
+        phases[j] = phase**j  # one int exponent per row: an arange exponent rounds j = 2 otherwise
     plan = _EvalPlan(
         np.log(np.array(primes, dtype=np.float64)),
         powers,
-        np.array(row_n, dtype=np.intp) - 1,
-        np.array(lo, dtype=np.intp),
-        np.array(hi, dtype=np.intp),
-        tuple((s, np.array(r), np.array(p), np.array(st)) for s, r, p, st in reversed(levels)),
+        np.array(row_n, dtype=np.intp) - 1,  # empty at m = 1
+        np.array(lo),
+        np.array(hi),
+        tuple(reversed(levels)),
         ln_n,
-        np.exp(ln_n * -1j),
+        phases,
         taylor,
     )
-    for arr in (plan.ln_p, plan.row_n, plan.lo, plan.hi, plan.ln_n, plan.phase, plan.taylor,
-                *(a for lv in plan.levels for a in lv[1:])):
+    for arr in (*(a for a in plan if isinstance(a, np.ndarray)), *(a for lv in plan.levels for a in lv[1:])):
         arr.setflags(write=False)
     return plan
 
@@ -351,9 +353,9 @@ def _scratch_arrays(width: int, *heights: int) -> list[np.ndarray]:
     Fresh arrays per block would go back to the OS when freed and be
     faulted in again by the next block."""
     size = sum(heights) * width
-    buf = getattr(_SCRATCH, "buf", None)
-    if buf is None or buf.size < size:
-        buf = _SCRATCH.buf = np.empty(max(size, sum(heights) * _EVAL_CHUNK), dtype=np.complex128)
+    buf = getattr(_SCRATCH, "buf", ())
+    if len(buf) < size:
+        buf = _SCRATCH.buf = np.empty(size, dtype=np.complex128)
     arrays, start = [], 0
     for h in heights:
         arrays.append(buf[start : start + h * width].reshape(h, width))
@@ -389,27 +391,37 @@ def _cell_coefficients(table: AnTable, plan: _EvalPlan, cells: np.ndarray) -> np
     built.
 
     A cell is built once per table, under the table's lock, and never
-    changes after: c_k = sum_n a_n n^(-s0) (-ln n)^k / k!, with n^(-s0)
-    = n^(-i) (n^(-1j))^j for s0 = i + j*1j, and the real and imaginary
-    parts of a_n n^(-s0) as two contiguous rows reduced against the
-    plan's rows by one einsum (numpy's own loop, no BLAS), so its bits
-    depend on the table and the cell alone.
+    changes after: c_k = sum_n a_n n^(-s0) (-ln n)^k / k!, s0 = i + j*1j.
+    The missing cells go in blocks of max(1, _CELL_BLOCK // m): one real
+    exp gives n^(-i) and one product with the plan's rows n^(-ij) gives
+    n^(-s0); the parts of a_n n^(-s0) go as rows into this thread's
+    scratch buffer (2 max(_CELL_BLOCK, m) complex at most), and one einsum
+    (numpy's own loop, no BLAS) reduces each row against the Taylor rows
+    by itself, so a cell's bits depend on the table and the cell alone,
+    not on the block that built it.
     """
-    wanted = np.zeros(_CELL_COUNT, dtype=bool)
-    wanted[cells] = True
+    wanted = np.bincount(cells, minlength=_CELL_COUNT) > 0
     with table._cell_lock:
         if not hasattr(table, "_cells"):  # allocated with the first cell
-            rows = np.zeros((_CELL_COUNT, plan.taylor.shape[0]), dtype=np.complex128)
-            object.__setattr__(table, "_cells", (rows, np.zeros(_CELL_COUNT, dtype=bool)))
+            object.__setattr__(table, "_cells", (np.zeros((_CELL_COUNT, plan.taylor.shape[0]), complex),
+                                                 np.zeros(_CELL_COUNT, bool)))
         coeffs, built = table._cells
-        for cell in np.flatnonzero(wanted & ~built).tolist():
-            row, col = divmod(cell, _CELL_COLUMNS)
-            terms = np.exp(plan.ln_n * -(col + _CELL_LEFT)) * plan.phase**row  # n^(-s0)
-            parts = np.empty((2, table.m))
-            np.multiply(terms.real, table.series, out=parts[0])
-            np.multiply(terms.imag, table.series, out=parts[1])
-            coeffs[cell] = np.einsum("kn,jn->kj", plan.taylor, parts).view(np.complex128)[:, 0]
-            built[cell] = True
+        todo = np.flatnonzero(wanted & ~built)
+        step = max(1, _CELL_BLOCK // table.m)
+        for start in range(0, todo.size, step):
+            block = todo[start : start + step]
+            row, col = np.divmod(block, _CELL_COLUMNS)
+            terms, parts = _scratch_arrays(table.m, block.size, block.size)
+            parts = parts.view(float).reshape(-1, table.m)  # rows of a_n n^(-s0): real, imag, real, ...
+            scale = parts[: block.size]  # n^(-i) until the parts overwrite it
+            np.take(plan.phases, row, axis=0, out=terms)  # n^(-ij)
+            np.multiply.outer(-_CELL_LEFT - col, plan.ln_n, out=scale)
+            np.multiply(np.exp(scale, out=scale), terms, out=terms)  # n^(-s0) = n^(-i) n^(-ij)
+            np.multiply(terms.real, table.series, out=parts[0::2])
+            np.multiply(terms.imag, table.series, out=parts[1::2])
+            sums = np.einsum("kn,jn->kj", plan.taylor, parts).T  # a row per part, as in parts
+            coeffs.real[block], coeffs.imag[block] = sums[0::2], sums[1::2]
+        built[todo] = True
     return coeffs
 
 
@@ -417,12 +429,12 @@ def _eval_cells(coeffs: np.ndarray, cells: np.ndarray, ds: np.ndarray) -> np.nda
     """sum_k c_k ds^k per point, c_k from the point's cell: one cumprod
     along each point's row of powers, one product and one row sum, each
     point in one row of the scratch arrays."""
-    powers, gathered, terms = _scratch_arrays(coeffs.shape[1], ds.size, ds.size, ds.size)
+    powers, terms = _scratch_arrays(coeffs.shape[1], ds.size, ds.size)
     powers[:, 0] = 1
     powers[:, 1:] = ds[:, None]
     np.multiply.accumulate(powers, axis=1, out=powers)
-    np.take(coeffs, cells, axis=0, out=gathered)
-    np.multiply(gathered, powers, out=terms)
+    np.take(coeffs, cells, axis=0, out=terms)
+    terms *= powers
     return terms.sum(axis=1)
 
 
@@ -437,11 +449,11 @@ def eval_truncated_l_many(table: AnTable, s: np.ndarray) -> np.ndarray:
     takes that Taylor cell: L_M(s) = sum_{k<=D} c_k (s - s0)^k, with D =
     _taylor_degree(m) (38 at m = 1000, 45 at m = 10000) bounding the
     remainder by 1e-17 sum |a_n| n^(-Re s0), since |s - s0| <= 1/sqrt(2).
-    A cell's c_k are built on the first point that lands in it, once per
-    table under the table's lock (see _cell_coefficients), so each cell
-    has the same bits at every thread count and in every order.  The powers
-    (s - s0)^k come from one cumprod along the point's own row and are
-    summed along it, so no step mixes points.
+    A cell's c_k are built with the first call that has a point in it,
+    once per table under the table's lock (see _cell_coefficients), so
+    each cell has the same bits at every thread count and in every
+    order.  The powers (s - s0)^k come from one cumprod along the point's
+    own row and are summed along it, so no step mixes points.
 
     Every other point, non-finite ones included, takes the recursion.
     With G(x, i) the sum of a_n n^(-s) over the n <= x whose prime factors
@@ -467,10 +479,8 @@ def eval_truncated_l_many(table: AnTable, s: np.ndarray) -> np.ndarray:
     block of one point is the scalar evaluation.
     """
     plan = _eval_plan(table.m)
-    s = np.asarray(s, dtype=np.complex128)
-    out = np.empty(s.shape, dtype=np.complex128)
-    flat = s.ravel()
-    res = out.ravel()
+    s = np.asarray(s, complex)
+    flat, res = s.ravel(), np.empty(s.size, complex)
     with np.errstate(all="ignore"):
         fold = np.signbit(flat.imag)
         upper = np.where(fold, flat.conj(), flat)
@@ -491,7 +501,7 @@ def eval_truncated_l_many(table: AnTable, s: np.ndarray) -> np.ndarray:
                 block = slice(start, start + _EVAL_CHUNK)
                 res[inside[block]] = _eval_cells(coeffs, cells[block], ds[block])
         np.conjugate(res, out=res, where=fold)
-    return out
+    return res.reshape(s.shape)
 
 
 def eval_truncated_l(table: AnTable, s: complex) -> complex:

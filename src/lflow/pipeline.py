@@ -493,10 +493,9 @@ def resolve_map_selector(selector: str, cfg: RunConfig):
         return DirichletMap(AnTable("zeta", 1, cfg.m, (1,) * cfg.m))
     if selector.startswith("exp:"):
         try:
-            lam = complex(selector[4:])
+            return ScaledExpMap(complex(selector[4:]))
         except ValueError as exc:
             raise ConfigError(f"bad lambda in {selector!r}: {exc}") from None
-        return ScaledExpMap(lam)
     if selector.startswith("nonic:"):
         record = _record_by_label(load_catalog_for(cfg), selector[6:])
         return PolynomialMap(nonic_polynomial(record.a_invariants))

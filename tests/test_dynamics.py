@@ -55,6 +55,9 @@ def test_scaled_exp_matches_cmath():
     lam = 0.4 - 1.1j
     for z in (0j, 1 + 2j, -3 - 0.5j):
         assert apply_map(ScaledExpMap(lam), z) == pytest.approx(lam * cmath.exp(z), rel=1e-14)
+    for bad in (complex("nan"), complex("inf"), complex(1, -math.inf)):  # the map would be degenerate
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            ScaledExpMap(bad)
 
 
 def test_dirichlet_map_matches_series_sum():

@@ -20,8 +20,11 @@ from hypothesis import strategies as st
 from lflow.catalog import discriminant
 from lflow.errors import ConsistencyError, NumericError
 from lflow.lseries import (
+    _CELL_BLOCK,
     _EVAL_CHUNK,
+    _SCRATCH,
     AnTable,
+    _cell_coefficients,
     _eval_block,
     _eval_plan,
     _point_counts,
@@ -729,30 +732,77 @@ def test_cells_keep_the_sign_of_zero_under_conjugation():
 
 
 def test_cell_coefficients_have_the_same_bits_for_any_threads_and_order():
+    # the reference builds one cell per call, one centre after another; the
+    # other builds take up to 8192 // m cells per block (84 at m = 97, 8 at
+    # m = 1000, one at m = 10000) in groups that straddle that bound, so a
+    # reduction whose bits depend on the block width fails here
     pts = cell_points()
+    centres = [np.array([complex(i, j)]) for j in range(13) for i in range(-3, 6)]
 
-    def cells_built(groups, workers):
-        t = build_an_table(CURVE_389A1, 389, 1000, "389a1")
+    def cells_built(m, groups, workers):
+        t = build_an_table(CURVE_389A1, 389, m, "389a1")
         with ThreadPoolExecutor(workers) as pool:
             values = list(pool.map(lambda g: eval_truncated_l_many(t, g), groups))
         coeffs, built = t._cells
         assert built.all()
         return coeffs.copy(), values
 
-    reference, _ = cells_built([pts], 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for seed, workers in ((1, 1), (2, 2), (3, 2), (4, 1), (5, 2)):
-            order = np.random.default_rng(seed).permutation(pts.size)
-            cuts = np.sort(np.random.default_rng(seed).choice(pts.size, 40, replace=False))
-            groups = np.split(pts[order], cuts)
-            coeffs, values = cells_built(groups, workers)
-            assert same_bits(coeffs, reference)
-            assert same_bits(np.concatenate(values), eval_truncated_l_many(build_an_table(
-                CURVE_389A1, 389, 1000, "389a1"), pts[order]))
+        for m in (97, 1000, 10000):
+            reference, _ = cells_built(m, centres, 1)
+            assert same_bits(cells_built(m, [pts], 1)[0], reference), m  # all 117 cells in one call
+            for seed, workers in ((1, 1), (2, 2), (3, 2), (4, 1), (5, 2)):
+                order = np.random.default_rng(seed).permutation(pts.size)
+                cuts = np.sort(np.random.default_rng(seed).choice(pts.size, 40, replace=False))
+                groups = np.split(pts[order], cuts)
+                coeffs, values = cells_built(m, groups, workers)
+                assert same_bits(coeffs, reference), (m, seed)
+                assert same_bits(np.concatenate(values), eval_truncated_l_many(build_an_table(
+                    CURVE_389A1, 389, m, "389a1"), pts[order]))
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_cell_blocks_take_the_per_cell_powers_bit_for_bit():
+    # a block forms n^(-s0) as n^(-i) times the plan's row n^(-ij); both must
+    # carry the bits of the per-cell expressions np.exp(ln_n * -i) and
+    # phase**j (phase ** np.arange(13)[:, None] rounds row 2 differently)
+    for m in (97, 1000, 10000):
+        plan = _eval_plan(m)
+        phase = np.exp(plan.ln_n * -1j)
+        for j in range(13):
+            assert same_bits(plan.phases[j], phase**j), (m, j)
+        t = build_an_table(CURVE_389A1, 389, m, "389a1")
+        for row in (0, 2, 12):
+            block = row * 9 + np.arange(min(9, max(1, _CELL_BLOCK // m)))  # one block
+            _cell_coefficients(t, plan, block)
+            terms = _SCRATCH.buf[: block.size * m].reshape(block.size, m)  # its n^(-s0), one row per cell
+            for cell, got in zip(block.tolist(), terms):
+                scale = np.exp(plan.ln_n * -(cell % 9 - 3))
+                assert same_bits(got, scale * phase**row), (m, cell)
+                if row == 0:  # phase**0 is 1 + 0j, so n^(-s0) is n^(-i)
+                    assert same_bits(got.real, scale), (m, cell)
+
+
+def test_cell_build_stays_in_its_scratch_bound():
+    # a block holds at most max(_CELL_BLOCK, m) terms, once as n^(-s0) and once
+    # as the float rows of a_n n^(-s0); the coefficients must not be a view
+    # into the scratch buffer that the next block overwrites
+    def build(m):
+        t = build_an_table(CURVE_389A1, 389, m, "389a1")
+        coeffs = _cell_coefficients(t, _eval_plan(m), np.arange(117))
+        kept = coeffs.copy()
+        _cell_coefficients(build_an_table(CURVE_11A1, 11, m, "11a1"), _eval_plan(m), np.arange(117))
+        return coeffs, kept, _SCRATCH.buf
+
+    for m in (97, 1000, 10000):
+        with ThreadPoolExecutor(1) as pool:  # a new thread, whose scratch buffer starts empty
+            coeffs, kept, buf = pool.submit(build, m).result()
+        assert buf.size <= 2 * max(_CELL_BLOCK, m), m
+        assert not np.shares_memory(coeffs, buf)
+        assert same_bits(coeffs, kept)
 
 
 def test_series_array_and_verdict_computed_once_per_table():

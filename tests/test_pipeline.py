@@ -663,6 +663,10 @@ def test_resolve_map_selector_forms(fixture_catalog_path, tmp_path):
     assert isinstance(resolve_map_selector("11a1", cfg), DirichletMap)
     with pytest.raises(ConfigError):
         resolve_map_selector("exp:not-a-number", cfg)
+    for lam in ("nan", "inf", "-inf", "1e400", "1+nanj", "infj"):
+        with pytest.raises(ConfigError, match="must be finite"):
+            resolve_map_selector(f"exp:{lam}", cfg)
+    assert resolve_map_selector("exp:1e300+1e300j", cfg).lam == 1e300 + 1e300j
     with pytest.raises(LflowError):
         resolve_map_selector("123456z1", cfg)
 
@@ -816,6 +820,12 @@ def test_cli_errors_exit_2(fixture_catalog_path, tmp_path):
         r4 = run_cli(["render", "exp:1", "--radius", radius, "-o", str(tmp_path / "x.pgm")], tmp_path)
         assert r4.returncode == 2, r4.stderr
         assert r4.stderr.startswith("error: radius must be a finite positive number")
+        assert not (tmp_path / "x.pgm").exists()
+
+    for lam in ("nan", "inf", "1e400"):  # complex() parses these; the map would be degenerate
+        r5 = run_cli(["render", f"exp:{lam}", "-o", str(tmp_path / "x.pgm")], tmp_path)
+        assert r5.returncode == 2, r5.stderr
+        assert r5.stderr.startswith(f"error: bad lambda in 'exp:{lam}': lambda must be finite")
         assert not (tmp_path / "x.pgm").exists()
 
     bad_csv = tmp_path / "bad.csv"
