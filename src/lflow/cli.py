@@ -8,16 +8,17 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline
+from .dynamics import CUMULATIVE, FINAL
 from .errors import LflowError, read_text
 from .pipeline import RunConfig, build_config
 
 
-def _config_flags(p: argparse.ArgumentParser, command: str) -> None:
+def _config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="key=value config file")
     p.add_argument("--preset", choices=sorted(pipeline.PRESETS), help="named parameter bundle")
     for f in fields(RunConfig):
         meta = f.metadata
-        if meta["flags"] and meta["command"] in (None, command):
+        if meta["flags"]:
             p.add_argument(*meta["flags"], dest=f.name, metavar=meta["metavar"],
                            help=meta["help"], **meta["cli"])
 
@@ -54,7 +55,7 @@ def _correlate(args, cfg):
 
 
 def _render(args, cfg):
-    return pipeline.cmd_render(args.selector, cfg, args.width, args.height), args.output
+    return pipeline.cmd_render(args.selector, cfg, args.width, args.height, args.escape_mode), args.output
 
 
 def _nonic(args, cfg):
@@ -62,8 +63,8 @@ def _nonic(args, cfg):
 
 
 def _reproduce(args, cfg):
-    result = pipeline.cmd_reproduce(cfg)
-    print(f"artifacts written to {result['output_dir']}", file=sys.stderr)
+    result = pipeline.cmd_reproduce(cfg, args.output)
+    print(f"artifacts written to {args.output}", file=sys.stderr)
     return pipeline.format_report(result["report"], result["excluded"]), None
 
 
@@ -89,10 +90,14 @@ COMMANDS = {
     "render": ("escape-time image of a map",
                [_arg("selector", help="curve label | nonic:<label> | exp:<lambda> | zeta"),
                 _output("FILE", "output PGM (P5)", required=True),
-                _arg("--width", type=int, default=320), _arg("--height", type=int, default=240)],
+                _arg("--width", type=int, default=320), _arg("--height", type=int, default=240),
+                _arg("--escape-mode", choices=[CUMULATIVE, FINAL], default=CUMULATIVE,
+                     help="test every iterate or only the last")],
                _render),
     "nonic": ("print the 10 integer coefficients of a curve's nonic", [_arg("label")], _nonic),
-    "reproduce": ("sample + observe + correlate into an output directory", [], _reproduce),
+    "reproduce": ("sample + observe + correlate into an output directory",
+                  [_output("DIR", "output directory (default: lflow-out)", default="lflow-out")],
+                  _reproduce),
 }
 
 
@@ -101,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, arguments, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text, allow_abbrev=False)
-        _config_flags(p, command)
+        _config_flags(p)
         for names, kwargs in arguments:
             p.add_argument(*names, **kwargs)
     return parser

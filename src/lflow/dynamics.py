@@ -35,8 +35,8 @@ class Window(NamedTuple):
 
 def _check_window(window) -> Window:
     w = Window(*map(float, window))
-    if not (w.re_min < w.re_max and w.im_min < w.im_max):
-        raise ValueError(f"degenerate window {w}")
+    if not (0 < w.re_max - w.re_min < math.inf and 0 < w.im_max - w.im_min < math.inf):
+        raise ValueError(f"degenerate or unbounded window {w}")
     return w
 
 
@@ -104,6 +104,8 @@ def _iterate(spec, z0: np.ndarray, radius: float, iterations: int, mode: str):
     radius is capped at the largest float so that non-finite iterates
     escape even for an infinite or nan radius.
     """
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
     if mode not in (CUMULATIVE, FINAL):
         raise ValueError(f"unknown escape mode {mode!r}")
     limit = np.fmin(radius, np.finfo(np.float64).max)
@@ -126,8 +128,6 @@ def escape_iterate(spec, z0: complex, radius: float, iterations: int, mode: str 
     """Smallest k <= iterations with |z_k| > radius (or non-finite z_k);
     NEVER (= 0) if the orbit stays bounded.  mode=FINAL tests only the
     last iterate."""
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     escape, _ = _iterate(spec, np.array([z0], dtype=np.complex128), radius, iterations, mode)
     return int(escape[0])
 
@@ -135,8 +135,6 @@ def escape_iterate(spec, z0: complex, radius: float, iterations: int, mode: str 
 @dataclass(frozen=True)
 class EscapeField:
     values: np.ndarray  # shape (height, width), entries in {NEVER, 1..K}
-    window: Window
-    radius: float
     iterations: int
 
     @property
@@ -174,8 +172,6 @@ def escape_time_field(
     w = _check_window(window)
     if width < 1 or height < 1:
         raise ValueError("field dimensions must be positive")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     cols = w.re_min + (np.arange(width, dtype=np.float64) + 0.5) * (w.re_max - w.re_min) / width
     rows = w.im_max - (np.arange(height, dtype=np.float64) + 0.5) * (w.im_max - w.im_min) / height
     z0 = (cols[np.newaxis, :] + 1j * rows[:, np.newaxis]).ravel()
@@ -193,7 +189,7 @@ def escape_time_field(
         list(pool.map(run_share, range(workers)))
     values = escape.reshape(height, width)
     values.setflags(write=False)
-    return EscapeField(values, w, float(radius), int(iterations))
+    return EscapeField(values, int(iterations))
 
 
 def fit_decay(survivors) -> tuple[float, float]:
@@ -254,8 +250,6 @@ def estimate_escape_rate(
     """Escape rate of a map over a window from n_seeds random seeds."""
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     z0 = seed_cloud(window, n_seeds, master_seed)
     _, survivors = _iterate(spec, z0, radius, iterations, CUMULATIVE)
     tau, r_squared = fit_decay(survivors)

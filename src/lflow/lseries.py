@@ -146,39 +146,41 @@ def trace_of_frobenius(a: AInvariants, p: int, conductor: int) -> int:
     return _checked_trace(count_points(a, p), p, conductor, discriminant(a))
 
 
-def _smallest_prime_factors(m: int) -> np.ndarray:
-    """spf[n] for 0 <= n <= m: the smallest prime factor of n >= 2, so
-    spf[p] == p exactly at the primes; spf[0] = 0 and spf[1] = 1."""
+class _Sieve(NamedTuple):
+    primes: tuple[int, ...]  # the primes <= m, ascending
+    splits: np.ndarray  # read-only (3, count): the columns (n, q, n // q) of _coprime_splits
+
+
+@cache
+def _sieve(m: int) -> _Sieve:
+    """The primes <= m and the coprime splits, from one smallest-prime-factor
+    sieve per m: spf[n] is the smallest prime factor of n >= 2, so spf[p] ==
+    p exactly at the primes."""
     spf = np.arange(m + 1)
     for q in range(math.isqrt(m), 1, -1):  # descending: the smallest divisor writes last
         spf[q * q :: q] = q
-    return spf
+    spf = spf.tolist()
 
+    def walk():
+        for n in range(2, m + 1):
+            p = spf[n]
+            q, rest = p, n // p
+            while rest % p == 0:
+                q *= p
+                rest //= p
+            if rest > 1:
+                yield from (n, q, rest)
 
-_SPLITS_CACHE: dict[int, np.ndarray] = {}
+    splits = np.fromiter(walk(), dtype=np.intp).reshape(-1, 3).T.copy()
+    splits.setflags(write=False)
+    return _Sieve(tuple(n for n in range(2, m + 1) if spf[n] == n), splits)
 
 
 def _coprime_splits(m: int) -> Iterator[tuple[int, int, int]]:
     """(n, q, n // q) for every 2 <= n <= m that is not a prime power,
-    ascending, with q = p^k || n and p = spf(n).  The walk runs once per
-    m into a cached (3, count) int array, read back a slice at a time so
-    that no list of every triple is ever held as Python ints."""
-    splits = _SPLITS_CACHE.get(m)
-    if splits is None:
-        spf = _smallest_prime_factors(m).tolist()
-
-        def walk():
-            for n in range(2, m + 1):
-                p = spf[n]
-                q, rest = p, n // p
-                while rest % p == 0:
-                    q *= p
-                    rest //= p
-                if rest > 1:
-                    yield from (n, q, rest)
-
-        splits = _SPLITS_CACHE[m] = np.fromiter(walk(), dtype=np.intp).reshape(-1, 3).T.copy()
-        splits.setflags(write=False)
+    ascending, with q = p^k || n and p = spf(n), read from the sieve a
+    slice at a time: no list of every triple is held as Python ints."""
+    splits = _sieve(m).splits
     for start in range(0, splits.shape[1], 1024):
         yield from zip(*splits[:, start : start + 1024].tolist())
 
@@ -195,8 +197,7 @@ def build_an_tables(curves: list[tuple], m: int) -> list[AnTable]:
     discs = [discriminant(a) for a in models]
     coeffs = [[0, 1] + [0] * (m - 1) for _ in curves]
     errors = {}
-    spf = _smallest_prime_factors(m).tolist()
-    for p in (n for n in range(2, m + 1) if spf[n] == n):
+    for p in _sieve(m).primes:
         for i, n_p in enumerate(_point_counts(models, p)):
             conductor = curves[i][1]
             try:
@@ -281,10 +282,8 @@ def _build_eval_plan(m: int) -> _EvalPlan:
     (-ln n)^k / k! for k <= D, the factor all cells share, and the phase
     rows n^(-ij) for j = 0..12, the factor of each row of cells.
     """
-    spf = _smallest_prime_factors(m).tolist()
-    is_prime = [n >= 2 and spf[n] == n for n in range(m + 1)]
-    primes = [n for n, prime in enumerate(is_prime) if prime]
-    prime_count = np.cumsum(is_prime).tolist()  # pi(x) for x <= m
+    primes = _sieve(m).primes
+    prime_count = np.cumsum(np.bincount(primes, minlength=m + 1)).tolist()  # pi(x) for x <= m
     rows = [primes]  # rows[k-1]: p^k <= m for the leading primes
     while nxt := [q * p for q, p in zip(rows[-1], primes) if q * p <= m]:
         rows.append(nxt)

@@ -22,7 +22,6 @@ import numpy as np
 from . import catalog as cat
 from .dynamics import (
     CUMULATIVE,
-    FINAL,
     NEVER,
     DirichletMap,
     EscapeField,
@@ -62,13 +61,13 @@ def _at_least(n: int):
     return lambda v: v >= n, f"be >= {n}"
 
 
-def _setting(default, parse, *flags, metavar=None, help=None, must=None, command=None, **cli):
-    """A RunConfig field.  `parse` reads its config-file value, and `must`
-    is a (test, rule) pair that its value has to pass.  `flags` are its
-    command-line options, offered by every command or by `command` only;
-    argparse reads them with `type=parse` unless `cli` gives other
-    add_argument keywords."""
-    meta = dict(parse=parse, flags=flags, metavar=metavar, help=help, must=must, command=command)
+def _setting(default, parse, *flags, metavar=None, help=None, must=None, **cli):
+    """A RunConfig field, for a setting that several commands read (one
+    that a single command reads is its own argument).  `parse` reads its
+    config-file value, and `must` is a (test, rule) pair that its value has
+    to pass.  `flags`, offered by every command, are read by argparse with
+    `type=parse` unless `cli` gives other add_argument keywords."""
+    meta = dict(parse=parse, flags=flags, metavar=metavar, help=help, must=must)
     return field(default=default, metadata={**meta, "cli": cli or {"type": parse}})
 
 
@@ -78,8 +77,6 @@ class RunConfig:
                                  help="allcurves-style catalog (or $LFLOW_CATALOG)")
     cache_dir: str = _setting("an-cache", str, "--cache-dir", metavar="DIR",
                               help="coefficient cache directory (or $LFLOW_CACHE)")
-    output_dir: str = _setting("lflow-out", str, "-o", "--output", metavar="DIR",
-                               help="output directory", command="reproduce")
     bad_prime: int = _setting(3, int, "--bad-prime", metavar="P",
                               must=(_is_prime, "be a prime >= 2"))
     conductor_lo: int = _setting(11, int, "--conductor-min", metavar="N")
@@ -92,7 +89,8 @@ class RunConfig:
     window: tuple[float, float, float, float] = _setting(
         (-1.5, 4.5, 0.0, 12.0), _parse_window, "--window", type=float, nargs=4,
         metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"),
-        must=(lambda w: w[0] < w[1] and w[2] < w[3], "have RE_MIN < RE_MAX and IM_MIN < IM_MAX"))
+        must=(lambda w: 0 < w[1] - w[0] < math.inf and 0 < w[3] - w[2] < math.inf,
+              "have RE_MIN < RE_MAX and IM_MIN < IM_MAX and a finite width and height"))
     n_seeds: int = _setting(25000, int, "--n-seeds", metavar="COUNT", must=_at_least(1))
     radius: float = _setting(
         100000.0, float, "--radius", metavar="R", help="escape radius",
@@ -108,10 +106,6 @@ class RunConfig:
     smoothed: bool = _setting(
         False, _parse_bool, "--smoothed", action="store_const", const=True,
         help="report the exponentially smoothed L(1) instead of the raw truncation")
-    escape_mode: str = _setting(
-        CUMULATIVE, str, "--escape-mode", choices=[CUMULATIVE, FINAL],
-        help="test every iterate or only the last (render only)",
-        must=(lambda v: v in (CUMULATIVE, FINAL), f"be {CUMULATIVE!r} or {FINAL!r}"))
 
 
 PRESETS: dict[str, dict] = {
@@ -391,12 +385,6 @@ def _observe_one(record: cat.CurveRecord, table: AnTable, cfg: RunConfig) -> Obs
     return ObservationRow(record.label, record.conductor, l1, est.tau, est.survivors)
 
 
-def _require_cumulative(cfg: RunConfig) -> None:
-    # escape rates always test every iterate; only render offers FINAL
-    if cfg.escape_mode != CUMULATIVE:
-        raise ConfigError(f"escape_mode {cfg.escape_mode!r} applies to render only")
-
-
 def worker_count(cfg: RunConfig) -> int:
     """cfg.threads, or every usable CPU for 0, capped at the usable CPUs:
     more threads than CPUs only hand the interpreter lock around."""
@@ -412,7 +400,6 @@ def cmd_observe(manifest_labels: list[str], cfg: RunConfig) -> list[ObservationR
     tables come first, from one get_an_tables on this thread; the pool
     then runs each curve's L(1) and escape iteration, and each table (with
     its Taylor cells) goes once its curve is done."""
-    _require_cumulative(cfg)
     records = load_catalog_for(cfg)
     picked = [_record_by_label(records, lb) for lb in manifest_labels]
     tables = get_an_tables(picked, cfg.m, cfg.cache_dir)
@@ -503,13 +490,13 @@ def resolve_map_selector(selector: str, cfg: RunConfig):
     return DirichletMap(get_an_table(record, cfg.m, cfg.cache_dir))
 
 
-def cmd_render(selector: str, cfg: RunConfig, width: int, height: int) -> bytes:
+def cmd_render(selector: str, cfg: RunConfig, width: int, height: int, mode: str = CUMULATIVE) -> bytes:
+    """The escape-time PGM of a map; mode FINAL tests only the last iterate."""
     if width < 1 or height < 1:
         raise ConfigError(f"render size {width}x{height} must be positive")
     spec = resolve_map_selector(selector, cfg)
     field = escape_time_field(
-        spec, cfg.window, width, height, cfg.radius, cfg.iterations, mode=cfg.escape_mode,
-        workers=worker_count(cfg),
+        spec, cfg.window, width, height, cfg.radius, cfg.iterations, mode=mode, workers=worker_count(cfg)
     )
     return pgm_bytes(field)
 
@@ -536,12 +523,11 @@ def config_summary(cfg: RunConfig) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_reproduce(cfg: RunConfig) -> dict:
+def cmd_reproduce(cfg: RunConfig, output_dir) -> dict:
     """Full pipeline: sample, observe, correlate.  Writes manifest.txt,
     observations.csv, report.txt and summary.txt into output_dir."""
-    _require_cumulative(cfg)
     t0 = time.monotonic()
-    out = Path(cfg.output_dir)
+    out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest, eligible = cmd_sample(cfg)
     (out / "manifest.txt").write_text(manifest, encoding="ascii")
@@ -563,6 +549,5 @@ def cmd_reproduce(cfg: RunConfig) -> dict:
         "excluded": excluded,
         "eligible": eligible,
         "rows": rows,
-        "output_dir": str(out),
         "wall_seconds": wall,
     }

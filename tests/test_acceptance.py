@@ -302,14 +302,13 @@ def test_criterion_7_headline_correlation(tmp_path_factory, n_seeds, mode_name):
             flag_overrides={
                 "catalog_path": FIXTURE_CATALOG,
                 "cache_dir": str(cache_dir),
-                "output_dir": str(out_dir),
                 "n_seeds": n_seeds,
                 "master_seed": seed,
                 "threads": 8,
             },
             environ={},
         )
-        result = cmd_reproduce(cfg)
+        result = cmd_reproduce(cfg, str(out_dir))
         rep = result["report"]
         in_band = rep.r_s <= -0.45 and rep.p_two_sided < 0.001
         hits += in_band

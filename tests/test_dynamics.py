@@ -127,6 +127,16 @@ def test_bad_mode_rejected():
         escape_iterate(PolynomialMap([0, 1]), 0j, 1.0, 2, mode="both")
 
 
+def test_every_entry_point_needs_one_iteration():
+    f = PolynomialMap([0, 1])
+    for run in (lambda: escape_iterate(f, 0j, 1.0, 0),
+                lambda: escape_time_field(f, (-1, 1, -1, 1), 3, 2, 1.0, 0, workers=2),
+                lambda: estimate_escape_rate(f, (-1, 1, -1, 1), 10, 1.0, 0, 1),
+                lambda: _iterate(f, np.zeros(3, complex), 1.0, -1, FINAL)):
+        with pytest.raises(ValueError, match="iterations must be >= 1"):
+            run()
+
+
 # --------------------------------------------------------------- pixel grids
 
 
@@ -217,9 +227,18 @@ def test_field_conjugate_window_mirror_symmetry():
 def test_window_validation():
     f = PolynomialMap([0, 1])
     with pytest.raises(ValueError):
-        escape_time_field(f, (2, -2, 0, 1), 4, 4, 1.0, 3)
-    with pytest.raises(ValueError):
         escape_time_field(f, (-2, 2, 0, 1), 0, 4, 1.0, 3)
+    # seeds at inf + yj would "survive" with L_M(+inf) = 1, and an infinite
+    # width (finite edges included) puts every seed at a non-finite point
+    for window in ((2, -2, 0, 1), (-1, math.inf, 0, 1), (-math.inf, 1, 0, 1), (-1, 1, math.nan, 1),
+                   (-1, 1, -math.inf, math.inf), (-1e308, 1e308, 0, 1), (-1, 1, -1e308, 1e308)):
+        for run in (lambda: escape_time_field(f, window, 4, 4, 1.0, 3),
+                    lambda: seed_cloud(window, 10, 1),
+                    lambda: estimate_escape_rate(f, window, 10, 1.0, 3, 1)):
+            with pytest.raises(ValueError, match="degenerate or unbounded window"):
+                run()
+    widest = (-8e307, 8e307, -8e307, 8e307)  # width and height 1.6e308, still finite
+    assert np.isfinite(seed_cloud(widest, 10, 1)).all()
 
 
 # ----------------------------------------------------------------- fit_decay

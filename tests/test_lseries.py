@@ -7,6 +7,7 @@ O(p^2) count, an O(p) Euler-criterion count in Python ints stands in.
 """
 
 import cmath
+import hashlib
 import math
 import random
 import sys
@@ -27,7 +28,10 @@ from lflow.lseries import (
     _cell_coefficients,
     _eval_block,
     _eval_plan,
+    _build_eval_plan,
+    _coprime_splits,
     _point_counts,
+    _sieve,
     _taylor_degree,
     build_an_table,
     build_an_tables,
@@ -654,6 +658,58 @@ def test_an_table_rejects_coefficients_that_are_not_multiplicative():
     with pytest.raises(ValueError, match="not multiplicative"):
         AnTable("x", 1, 6, (1, a2, a3, 0, 0, a2 * a3 + 1))
     assert AnTable("x", 1, 6, (1, a2, a3, 0, 0, a2 * a3)).m == 6
+
+
+# sha256 (first 16 hex digits) of the plan's integer structure and the
+# coprime splits, as the per-call smallest-prime-factor sieve that the
+# cached sieve replaced built them: see plan_structure_digest
+PLAN_STRUCTURE_DIGESTS = {
+    1: "9b242bbdb33b415c",
+    2: "d54e93e25a7bd532",
+    97: "46dfa413c2e248e2",
+    1000: "28bb2153caca6c61",
+    10000: "e77db08d9e6b1e15",
+}
+
+
+def plan_structure_digest(m):
+    plan = _build_eval_plan(m)
+    h = hashlib.sha256()
+    for arr in (plan.row_n, plan.lo, plan.hi):  # hi holds pi(x) at each node x
+        h.update(np.asarray(arr, dtype=np.int64).tobytes())
+    h.update(repr(plan.powers).encode())
+    for children, edge_rows, parents, starts in plan.levels:
+        h.update(repr((children.start, children.stop)).encode())
+        for arr in (edge_rows, parents, starts):
+            h.update(np.asarray(arr, dtype=np.int64).tobytes())
+    h.update(np.asarray(list(_coprime_splits(m)), dtype=np.int64).reshape(-1).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("m", sorted(PLAN_STRUCTURE_DIGESTS))
+def test_sieve_primes_rows_and_splits_match_trial_division(m):
+    spf = [0, 1] + [next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n) for n in range(2, m + 1)]
+    primes = [n for n in range(2, m + 1) if spf[n] == n]
+    sieve = _sieve(m)
+    assert sieve.primes == tuple(primes)
+    assert not sieve.splits.flags.writeable
+    splits = []
+    for n in range(2, m + 1):
+        q = spf[n]
+        while n // q % spf[n] == 0:
+            q *= spf[n]
+        if q < n:
+            splits.append((n, q, n // q))
+    assert list(_coprime_splits(m)) == splits
+    plan = _build_eval_plan(m)
+    rows, k = [], 1  # the prime powers: the primes, then the squares, the cubes, ...
+    while powers := [p**k for p in primes if p**k <= m]:
+        rows += powers
+        k += 1
+    assert (plan.row_n + 1).tolist() == rows
+    pi = np.cumsum([0, 0] + [spf[n] == n for n in range(2, m + 1)])
+    assert plan.hi[0] == pi[m] == plan.ln_p.size  # the root node (m, 0) closes with pi(m)
+    assert plan_structure_digest(m) == PLAN_STRUCTURE_DIGESTS[m]
 
 
 def test_eval_takes_recursion_only_for_multiplicative_tables():

@@ -1,5 +1,6 @@
 """Config layering, the coefficient cache, file formats, commands, CLI."""
 
+import argparse
 import math
 import os
 import subprocess
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lflow import cli, pipeline
-from lflow.dynamics import NEVER, EscapeField, Window, escape_iterate
+from lflow.dynamics import FINAL, NEVER, EscapeField, Window, escape_iterate, escape_time_field
 from lflow.errors import CacheError, ConfigError, ConsistencyError, LflowError, UndefinedCorrelationError
 from lflow.lseries import AnTable, build_an_table
 from lflow.pipeline import (
@@ -56,7 +57,6 @@ def base_cfg(fixture_catalog_path, tmp_path, **kw):
     defaults = dict(
         catalog_path=fixture_catalog_path,
         cache_dir=str(tmp_path / "cache"),
-        output_dir=str(tmp_path / "out"),
         m=150,
         n_seeds=300,
         iterations=8,
@@ -78,7 +78,7 @@ def test_defaults_are_the_documented_protocol():
     assert cfg.window == (-1.5, 4.5, 0.0, 12.0)
     assert (cfg.n_seeds, cfg.radius, cfg.iterations) == (25000, 100000.0, 10)
     assert (cfg.master_seed, cfg.alpha) == (1, 0.001)
-    assert cfg.smoothed is False and cfg.escape_mode == "cumulative"
+    assert cfg.smoothed is False
 
 
 def test_presets_cover_the_three_samples():
@@ -157,8 +157,12 @@ def test_config_validation():
         build_config(flag_overrides={"alpha": 1.5}, environ={})
     with pytest.raises(ConfigError):
         build_config(flag_overrides={"window": (1, -1, 0, 2)}, environ={})
-    with pytest.raises(ConfigError):
-        build_config(flag_overrides={"escape_mode": "both"}, environ={})
+    for window in ((-1, math.inf, 0, 1), (-math.inf, 1, 0, 1), (-1, 1, 0, math.nan),
+                   (-1e308, 1e308, 0, 1), (-1, 1, -1e308, 1e308)):
+        with pytest.raises(ConfigError, match="a finite width and height"):
+            build_config(flag_overrides={"window": window}, environ={})
+    wide = (-1e300, 1e300, 0.0, 1.0)
+    assert build_config(flag_overrides={"window": wide}, environ={}).window == wide
     with pytest.raises(ConfigError):
         build_config(preset="nope", environ={})
     for radius in (0.0, -1.0, math.nan, math.inf, -math.inf):
@@ -179,7 +183,6 @@ def test_config_validation():
 FLAG_SAMPLES = {
     "catalog_path": (["/x/catalog.txt"], "/x/catalog.txt"),
     "cache_dir": (["/x/cache"], "/x/cache"),
-    "output_dir": (["/x/out"], "/x/out"),
     "bad_prime": (["5"], "5"),
     "conductor_lo": (["37"], "37"),
     "conductor_hi": (["389"], "389"),
@@ -194,7 +197,6 @@ FLAG_SAMPLES = {
     "alpha": (["0.05"], "0.05"),
     "threads": (["3"], "3"),
     "smoothed": ([], "true"),
-    "escape_mode": (["final"], "final"),
 }
 
 
@@ -203,12 +205,11 @@ FLAG_SAMPLES = {
 )
 def test_flag_and_config_file_agree(field, tmp_path):
     words, file_value = FLAG_SAMPLES[field.name]
-    command = field.metadata["command"] or "sample"
     cfg_file = tmp_path / "one.cfg"
     cfg_file.write_text(f"{field.name}={file_value}\n")
     parser = cli.build_parser()
-    from_flag = cli._config_from(parser.parse_args([command, field.metadata["flags"][-1], *words]))
-    from_file = cli._config_from(parser.parse_args([command, "--config", str(cfg_file)]))
+    from_flag = cli._config_from(parser.parse_args(["sample", field.metadata["flags"][-1], *words]))
+    from_file = cli._config_from(parser.parse_args(["sample", "--config", str(cfg_file)]))
     assert repr(from_flag) == repr(from_file)  # repr also tells 389 from 389.0
     assert getattr(from_flag, field.name) != getattr(RunConfig(), field.name)
 
@@ -584,7 +585,7 @@ def test_report_block_round_trip():
 def test_pgm_bytes_header_and_ramp():
     values = np.array([[NEVER, 1, 5], [10, 3, NEVER]], dtype=np.int32)
     values.setflags(write=False)
-    field = EscapeField(values, Window(-1, 1, -1, 1), 10.0, 10)
+    field = EscapeField(values, 10)
     data = pgm_bytes(field)
     assert data.startswith(b"P5\n3 2\n255\n")
     pix = data[len(b"P5\n3 2\n255\n") :]
@@ -599,7 +600,7 @@ def test_pgm_bytes_header_and_ramp():
 def test_pgm_single_iteration_guard():
     values = np.array([[NEVER, 1]], dtype=np.int32)
     values.setflags(write=False)
-    field = EscapeField(values, Window(0, 1, 0, 1), 2.0, 1)
+    field = EscapeField(values, 1)
     data = pgm_bytes(field)
     assert data.endswith(bytes([0, 55]))
 
@@ -609,7 +610,7 @@ def test_pgm_single_iteration_guard():
 def test_property_pgm_matches_per_pixel_formula(k_max, width, height, seed):
     rng = np.random.default_rng(seed)
     values = rng.integers(0, k_max + 1, size=(height, width), dtype=np.int32)
-    field = EscapeField(values, Window(0, 1, 0, 1), 2.0, k_max)
+    field = EscapeField(values, k_max)
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     want = bytes(0 if v == NEVER else 55 + 200 * (k_max - v) // max(k_max - 1, 1) for v in values.flat)
     assert pgm_bytes(field) == header + want
@@ -619,7 +620,7 @@ def test_pgm_rejects_values_outside_zero_to_k():
     for bad in (-1, 11, -300, 2**31 - 1):
         values = np.array([[NEVER, 1], [bad, 10]], dtype=np.int32)
         with pytest.raises(ValueError):
-            pgm_bytes(EscapeField(values, Window(0, 1, 0, 1), 2.0, 10))
+            pgm_bytes(EscapeField(values, 10))
 
 
 def test_render_zeta_matches_field_oracle(fixture_catalog_path, tmp_path):
@@ -681,8 +682,8 @@ def test_cmd_nonic_known_curve(fixture_catalog_path, tmp_path):
 
 def test_cmd_reproduce_writes_consistent_artifacts(fixture_catalog_path, tmp_path):
     cfg = base_cfg(fixture_catalog_path, tmp_path, size=4, n_seeds=250)
-    result = cmd_reproduce(cfg)
     out = tmp_path / "out"
+    result = cmd_reproduce(cfg, str(out))
     manifest = (out / "manifest.txt").read_text()
     labels = parse_manifest(manifest)
     assert len(labels) == 4
@@ -696,8 +697,7 @@ def test_cmd_reproduce_writes_consistent_artifacts(fixture_catalog_path, tmp_pat
     assert "wall_seconds=" in summary
     assert "master_seed=1" in summary
     # a second run into a fresh directory yields byte-identical observations
-    cfg2 = replace(cfg, output_dir=str(tmp_path / "out2"))
-    cmd_reproduce(cfg2)
+    cmd_reproduce(cfg, str(tmp_path / "out2"))
     assert (tmp_path / "out2" / "observations.csv").read_bytes() == (
         out / "observations.csv"
     ).read_bytes()
@@ -893,14 +893,94 @@ def test_cli_errors_exit_2(fixture_catalog_path, tmp_path):
     assert r7.returncode == 2, r7.stderr
     assert "unrecognized arguments: --m 5" in r7.stderr
 
-    # escape rates always test every iterate, so reproduce refuses the
-    # render-only final mode before it writes anything
-    out = tmp_path / "final-out"
-    r6 = run_cli(["reproduce", "--preset", "smoke", "--catalog", fixture_catalog_path,
-                  "--escape-mode", "final", "-o", str(out)], tmp_path)
-    assert r6.returncode == 2, r6.stderr
-    assert r6.stderr.startswith("error: escape_mode 'final' applies to render only")
-    assert not out.exists()
+
+def test_every_command_offers_the_same_config_flags():
+    names = {f.name for f in dc_fields(RunConfig)}
+    want = sorted(flag for f in dc_fields(RunConfig) for flag in f.metadata["flags"])
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(cli.COMMANDS) and len(sub.choices) == 7
+    for command, parser in sub.choices.items():
+        offered = sorted(flag for a in parser._actions if a.dest in names for flag in a.option_strings)
+        assert offered == want, command
+
+
+@pytest.mark.parametrize("argv", [["sample"], ["coeffs", "11a1"], ["observe", "manifest.txt"],
+                                  ["correlate", "obs.csv"], ["nonic", "11a1"], ["reproduce"]],
+                         ids=lambda argv: argv[0])
+def test_escape_mode_is_a_render_argument(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--escape-mode", "final"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --escape-mode final" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_render_escape_modes(fixture_catalog_path, tmp_path):
+    flags = ["--catalog", fixture_catalog_path, "--cache-dir", str(tmp_path / "cache"),
+             "--coefficients", "150", "--iterations", "6", "--width", "24", "--height", "18"]
+    images = {}
+    for mode in ("default", "cumulative", "final"):
+        out = tmp_path / f"{mode}.pgm"
+        chosen = [] if mode == "default" else ["--escape-mode", mode]
+        assert cli.main(["render", "11a1", "-o", str(out), *chosen, *flags]) == 0
+        images[mode] = out.read_bytes()
+    cfg = build_config(flag_overrides={"catalog_path": fixture_catalog_path, "m": 150, "iterations": 6,
+                                       "cache_dir": str(tmp_path / "cache")}, environ={})
+    spec = resolve_map_selector("11a1", cfg)
+    for mode in ("cumulative", "final"):
+        field = escape_time_field(spec, cfg.window, 24, 18, cfg.radius, cfg.iterations, mode=mode)
+        assert images[mode] == pgm_bytes(field) == cmd_render("11a1", cfg, 24, 18, mode), mode
+    assert images["default"] == images["cumulative"] != images["final"]
+    # in final mode a pixel escapes at K or never
+    assert set(images["final"][len(b"P5\n24 18\n255\n"):]) <= {0, 55}
+
+
+def test_cli_reproduce_writes_to_lflow_out_by_default(fixture_catalog_path, tmp_path):
+    r = run_cli(["reproduce", "--preset", "smoke", "--catalog", fixture_catalog_path], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "artifacts written to lflow-out" in r.stderr
+    out = tmp_path / "lflow-out"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.txt", "observations.csv", "report.txt", "summary.txt"]
+    assert r.stdout == (out / "report.txt").read_text()
+    summary = (out / "summary.txt").read_text()
+    assert "output_dir=" not in summary and "escape_mode=" not in summary
+
+
+@pytest.mark.parametrize("line", ["escape_mode=final", "output_dir=elsewhere"])
+def test_command_arguments_are_not_config_keys(line, fixture_catalog_path, tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(line + "\n")
+    flags = ["--catalog", fixture_catalog_path, "--config", str(cfg_file)]
+    for argv in (["render", "exp:1", "-o", str(tmp_path / "x.pgm")], ["reproduce", "-o", str(tmp_path / "out")]):
+        assert cli.main([*argv, *flags]) == 2
+        key = line.partition("=")[0]
+        assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_cli_rejects_unbounded_windows(fixture_catalog_path, tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("11a1\n")
+    # argparse reads a word as a negative number only if it is digits, so
+    # -1e308 goes in as -1 followed by 308 zeros
+    flag_windows = [["-1", "inf", "0", "1"], ["-1", "1", "0", "nan"], ["-1" + "0" * 308, "1e308", "0", "1"]]
+    runs = [["--window", *w] for w in flag_windows]
+    for i, window in enumerate(["-1,inf,0,1", "-inf,1,0,1", "-1e308,1e308,0,1"]):
+        cfg_file = tmp_path / f"window{i}.cfg"
+        cfg_file.write_text(f"window={window}\n")
+        runs.append(["--config", str(cfg_file)])
+    for run in runs:
+        common = ["--catalog", fixture_catalog_path, "--cache-dir", str(tmp_path / "cache"),
+                  "--coefficients", "50", "--n-seeds", "50", *run]
+        for argv in (["observe", str(manifest), "-o", str(tmp_path / "obs.csv")],
+                     ["render", "11a1", "-o", str(tmp_path / "x.pgm")]):
+            assert cli.main([*argv, *common]) == 2, (argv, run)
+            err = capsys.readouterr().err
+            assert err.startswith("error: window must have RE_MIN < RE_MAX and IM_MIN < IM_MAX "
+                                  "and a finite width and height"), (argv, run, err)
+    assert not (tmp_path / "obs.csv").exists() and not (tmp_path / "x.pgm").exists()
 
 
 def test_cli_coeffs_prints_cache_format(fixture_catalog_path, tmp_path):
