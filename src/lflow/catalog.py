@@ -38,15 +38,12 @@ class CurveRecord:
 
 
 def b_invariants(a: AInvariants) -> tuple[int, int, int, int]:
-    """(b2, b4, b6, b8) of a Weierstrass model, exact integers."""
+    """(b2, b4, b6, b8), exact: b2*b6 - b4^2 = 4(a1^2 a6 + 4a2 a6 - a1 a3 a4 + a2 a3^2 - a4^2)."""
     a1, a2, a3, a4, a6 = a
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
-    num = b2 * b6 - b4 * b4
-    if num % 4:
-        raise AssertionError("b2*b6 - b4^2 must be divisible by 4")
-    return b2, b4, b6, num // 4
+    return b2, b4, b6, (b2 * b6 - b4 * b4) // 4
 
 
 def c_invariants(a: AInvariants) -> tuple[int, int]:
@@ -234,8 +231,7 @@ def select_sample(records: list[CurveRecord], plan: SamplePlan) -> list[CurveRec
 
     chosen: list[tuple[int, int]] = []
     counter = 0
-    while len(chosen) < plan.size:
-        progressed = False
+    while len(chosen) < plan.size:  # until then some bin holds a class, and a sweep pops from each
         for b in range(strata):
             if len(chosen) >= plan.size:
                 break
@@ -245,9 +241,6 @@ def select_sample(records: list[CurveRecord], plan: SamplePlan) -> list[CurveRec
             counter += 1
             idx = int(u * len(bins[b]))
             chosen.append(bins[b].pop(idx))
-            progressed = True
-        if not progressed:
-            raise SamplingError("ran out of eligible classes mid-draw")
 
     return [by_class[key] for key in sorted(chosen)]
 

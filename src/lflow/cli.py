@@ -13,14 +13,20 @@ from .errors import LflowError, read_text
 from .pipeline import RunConfig, build_config
 
 
+class _Parser(argparse.ArgumentParser):  # argparse alone takes -2 or -1.5 for a value, but -2e0 for an option
+    def _parse_optional(self, arg_string):  # None (a value, not an option) for every word that float() reads
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+
+
 def _config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="key=value config file")
     p.add_argument("--preset", choices=sorted(pipeline.PRESETS), help="named parameter bundle")
     for f in fields(RunConfig):
         meta = f.metadata
-        if meta["flags"]:
-            p.add_argument(*meta["flags"], dest=f.name, metavar=meta["metavar"],
-                           help=meta["help"], **meta["cli"])
+        p.add_argument(meta["flag"], dest=f.name, metavar=meta["metavar"], help=meta["help"], **meta["cli"])
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
@@ -102,7 +108,7 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lflow", description=__doc__, allow_abbrev=False)
+    parser = _Parser(prog="lflow", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, arguments, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text, allow_abbrev=False)

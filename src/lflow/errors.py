@@ -16,8 +16,6 @@ class CatalogError(LflowError):
             detail = f" ({line.strip()!r})" if line else ""
             message = f"line {line_number}: {message}{detail}"
         super().__init__(message)
-        self.line_number = line_number
-        self.line = line
 
 
 class SingularCurveError(CatalogError):

@@ -65,6 +65,8 @@ class AnTable:
         if self.coefficients[0] != 1:
             raise ValueError("a_1 must be 1")
         c = (0, *self.coefficients)  # c[n] = a_n
+        if not -2**1024 + 2**970 < min(c) <= max(c) < 2**1024 - 2**970:  # what float() converts without overflow
+            raise ValueError("coefficients must lie within the float64 range")
         if any(c[n] != c[q] * c[rest] for n, q, rest in _coprime_splits(self.m)):
             raise ValueError("coefficients are not multiplicative")
         object.__setattr__(self, "_cell_lock", threading.Lock())  # see _cell_coefficients
@@ -125,25 +127,29 @@ def count_points(a: AInvariants, p: int) -> int:
     return _point_counts([a], p)[0]
 
 
-def _checked_trace(n_p: int, p: int, conductor: int, disc: int) -> int:
-    """a_p = p - n_p.  The reduction is singular exactly when p | disc
-    (Silverman, Prop. III.1.4), which must hold exactly at the primes
-    dividing the conductor; a good-prime trace must obey the Hasse bound."""
-    a_p = p - n_p
+def _check_reduction(p: int, conductor: int, disc: int) -> None:
+    """The reduction is singular exactly when p | disc (Silverman, Prop.
+    III.1.4), which must hold exactly at the primes dividing the conductor."""
     if conductor % p and not disc % p:
         raise ConsistencyError(f"p={p} does not divide the conductor but the reduction is singular; "
                                "model is not minimal or the conductor is wrong")
-    if conductor % p and a_p * a_p > 4 * p:
-        raise ConsistencyError(f"a_{p} = {a_p} violates the Hasse bound")
     if not conductor % p and disc % p:
         raise ConsistencyError(f"p={p} divides the conductor but the reduction is smooth; the conductor is wrong")
+
+
+def _trace(n_p: int, p: int, conductor: int) -> int:
+    """a_p = p - n_p, held to the Hasse bound at good primes (smooth by _check_reduction)."""
+    a_p = p - n_p
+    if conductor % p and a_p * a_p > 4 * p:
+        raise ConsistencyError(f"a_{p} = {a_p} violates the Hasse bound")
     return a_p
 
 
 def trace_of_frobenius(a: AInvariants, p: int, conductor: int) -> int:
-    """Frobenius trace a_p = p + 1 - #E(F_p) = p - N_p, the point at
-    infinity counted, at good and bad primes alike (see _checked_trace)."""
-    return _checked_trace(count_points(a, p), p, conductor, discriminant(a))
+    """Frobenius trace a_p = p + 1 - #E(F_p) = p - N_p, the point at infinity
+    counted, at good and bad primes alike (see _check_reduction and _trace)."""
+    _check_reduction(p, conductor, discriminant(a))
+    return _trace(count_points(a, p), p, conductor)
 
 
 class _Sieve(NamedTuple):
@@ -186,32 +192,29 @@ def _coprime_splits(m: int) -> Iterator[tuple[int, int, int]]:
 
 
 def build_an_tables(curves: list[tuple], m: int) -> list[AnTable]:
-    """The tables a_1 .. a_m of (a-invariants, conductor, label) curves, in
-    one pass over the primes that counts all curves at once: traces at
-    primes, Hecke recursion at prime powers (the p*a_{p^{k-1}} term dropped
-    at bad primes), multiplicative across coprime factors.  The first curve
-    in order that fails _checked_trace raises the error it raises alone."""
+    """The tables a_1 .. a_m of (a-invariants, conductor, label) curves.  Each
+    curve in order is checked at every prime (_check_reduction), so the first
+    inconsistent one raises what it raises alone, before any point is counted.
+    Then one pass over the primes counts all curves at once: traces at primes,
+    Hecke recursion at prime powers (the p*a_{p^{k-1}} term dropped at bad
+    primes), multiplicative across coprime factors."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    primes = _sieve(m).primes
+    for a, conductor, _ in curves:
+        disc = discriminant(a)
+        for p in primes:
+            _check_reduction(p, conductor, disc)
     models = [a for a, _, _ in curves]
-    discs = [discriminant(a) for a in models]
     coeffs = [[0, 1] + [0] * (m - 1) for _ in curves]
-    errors = {}
-    for p in _sieve(m).primes:
-        for i, n_p in enumerate(_point_counts(models, p)):
-            conductor = curves[i][1]
-            try:
-                a_p = _checked_trace(n_p, p, conductor, discs[i])
-            except ConsistencyError as exc:
-                errors.setdefault(i, exc)
-                continue
+    for p in primes:
+        for (_, conductor, _), c, n_p in zip(curves, coeffs, _point_counts(models, p)):
+            a_p = _trace(n_p, p, conductor)
             prev, cur, q = 1, a_p, p  # a_{p^0}, a_{p^1}
             while q <= m:
-                coeffs[i][q] = cur
+                c[q] = cur
                 prev, cur = cur, a_p * cur - (p * prev if conductor % p else 0)
                 q *= p
-    if errors:
-        raise errors[min(errors)]
     for c in coeffs:
         for n, q, rest in _coprime_splits(m):
             c[n] = c[q] * c[rest]
@@ -515,11 +518,10 @@ def l_at_one(table: AnTable) -> float:
     return value.real
 
 
-def smoothed_l_at_one(table: AnTable, conductor: int | None = None) -> float:
+def smoothed_l_at_one(table: AnTable) -> float:
     """Exponentially smoothed estimator sum 2 a_n / n * exp(-2 pi n / sqrt(N))."""
-    n_cond = table.conductor if conductor is None else conductor
-    if n_cond < 1:
+    if table.conductor < 1:
         raise ValueError("conductor must be positive")
     n = np.arange(1, table.m + 1, dtype=np.float64)
-    weights = np.exp(-2.0 * math.pi * n / math.sqrt(n_cond))
+    weights = np.exp(-2.0 * math.pi * n / math.sqrt(table.conductor))
     return float(np.sum(2.0 * table.series / n * weights))

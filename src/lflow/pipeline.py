@@ -61,13 +61,13 @@ def _at_least(n: int):
     return lambda v: v >= n, f"be >= {n}"
 
 
-def _setting(default, parse, *flags, metavar=None, help=None, must=None, **cli):
+def _setting(default, parse, flag, metavar=None, help=None, must=None, **cli):
     """A RunConfig field, for a setting that several commands read (one
     that a single command reads is its own argument).  `parse` reads its
     config-file value, and `must` is a (test, rule) pair that its value has
-    to pass.  `flags`, offered by every command, are read by argparse with
+    to pass.  `flag`, offered by every command, is read by argparse with
     `type=parse` unless `cli` gives other add_argument keywords."""
-    meta = dict(parse=parse, flags=flags, metavar=metavar, help=help, must=must)
+    meta = dict(parse=parse, flag=flag, metavar=metavar, help=help, must=must)
     return field(default=default, metadata={**meta, "cli": cli or {"type": parse}})
 
 

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lflow.catalog import (
     CurveRecord,
@@ -63,6 +65,15 @@ def test_invariants_match_reference_formulary():
         assert c6 == -(b2**3) + 36 * b2 * b4 - 216 * b6
         # the 1728 identity ties all of them together
         assert c4**3 - c6**2 == 1728 * discriminant(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.integers(-10**6, 10**6)] * 5))
+def test_b8_identity_holds_for_large_invariants(a):
+    a1, a2, a3, a4, a6 = a
+    b2, b4, b6, b8 = b_invariants(a)
+    assert 4 * b8 == b2 * b6 - b4**2
+    assert b8 == a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
 
 
 # -------------------------------------------------------------------- labels
@@ -257,6 +268,15 @@ def test_select_sample_exhaustive_draw(fixture_records):
         if r.curve_index == 1 and is_eligible(r, 3) and 11 <= r.conductor <= 1000
     }
     assert labels == eligible
+
+
+def test_select_sample_returns_size_distinct_eligible_classes(fixture_records):
+    eligible = count_eligible_classes(fixture_records, plan(size=0))
+    for strata in (0, 1, 7, eligible, 3 * eligible):
+        for size in range(eligible + 1):
+            chosen = select_sample(fixture_records, plan(size=size, seed=size, strata=strata))
+            assert len({(r.conductor, r.isogeny_class) for r in chosen}) == len(chosen) == size, (strata, size)
+            assert all(r.curve_index == 1 and is_eligible(r, 3) and 11 <= r.conductor <= 1000 for r in chosen)
 
 
 def test_select_sample_insufficient_classes(fixture_records):

@@ -8,6 +8,8 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lflow.formal_group import (
     defining_relation_residual,
@@ -59,6 +61,12 @@ def test_residual_vanishes_identically():
         A = expand_formal_group(a)
         res = defining_relation_residual(a, A)
         assert all(x == 0 for x in res), (a, res)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.integers(-10**6, 10**6)] * 5))
+def test_residual_vanishes_for_large_invariants(a):
+    assert defining_relation_residual(a, expand_formal_group(a)) == (0,) * 10
 
 
 def test_residual_against_sympy():

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lflow import lseries
 from lflow.catalog import discriminant
 from lflow.errors import ConsistencyError, NumericError
 from lflow.lseries import (
@@ -378,6 +379,15 @@ def test_an_table_validation():
     assert t.m == 1
 
 
+def test_an_table_rejects_coefficients_beyond_float64():
+    edge = 2**1024 - 2**970  # the smallest int that float() cannot convert
+    for big in (edge, -edge, 10**400):
+        with pytest.raises(ValueError, match="float64 range"):
+            AnTable("x", 11, 2, (1, big))
+    for fits in (edge - 1, 1 - edge):
+        assert AnTable("x", 11, 2, (1, fits)).series[1] == float(fits)
+
+
 def test_an_table_matches_definitional_oracle():
     cases = [
         (CURVE_11A1, 11),
@@ -432,6 +442,46 @@ def test_batched_tables_raise_the_first_inconsistent_curve_in_order():
     assert build_an_tables([], 12) == []
     with pytest.raises(ValueError):
         build_an_tables([good], 0)
+
+
+def test_batched_tables_check_every_curve_before_counting(fixture_records, monkeypatch):
+    counted = []
+    monkeypatch.setattr(lseries, "_point_counts", lambda models, p: counted.append(p))
+    good = [(r.a_invariants, r.conductor, r.label) for r in fixture_records[:20]]
+    bad = (CURVE_11A1, 11 * 997, "10967a1")  # smooth at 997, the last prime below 1000
+    with pytest.raises(ConsistencyError, match="p=997 divides the conductor"):
+        build_an_tables([*good, bad, *good], 1000)
+    assert counted == []
+
+
+def _without(n, p):
+    while n % p == 0:
+        n //= p
+    return n
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.sampled_from([2, 12, 60, 300]))
+def test_property_batch_raises_what_its_first_inconsistent_curve_raises(fixture_records, data, m):
+    # a variant claims a prime <= m at which the model is smooth, or drops
+    # one at which it is singular; the check sees no prime above m
+    primes = list(_sieve(m).primes)
+    batch, bad = [], []
+    for rec in data.draw(st.lists(st.sampled_from(fixture_records), min_size=1, max_size=8)):
+        n = rec.conductor
+        variants = [n * p for p in primes if n % p] + [_without(n, p) for p in primes if n % p == 0]
+        claimed = data.draw(st.sampled_from([n, *variants]))
+        batch.append((rec.a_invariants, claimed, rec.label))
+        if claimed != n:
+            bad.append(batch[-1])
+    if not bad:
+        assert build_an_tables(batch, m) == [build_an_table(a, n, m, label) for a, n, label in batch]
+        return
+    with pytest.raises(ConsistencyError) as alone:
+        build_an_table(*bad[0][:2], m, bad[0][2])
+    with pytest.raises(ConsistencyError) as batched:
+        build_an_tables(batch, m)
+    assert str(batched.value) == str(alone.value)
 
 
 def test_an_table_divisor_bound(fixture_records):
@@ -861,7 +911,7 @@ def test_cell_build_stays_in_its_scratch_bound():
         assert same_bits(coeffs, kept)
 
 
-def test_series_array_and_verdict_computed_once_per_table():
+def test_series_array_computed_once_per_table():
     t = build_an_table(CURVE_11A1, 11, 300, "11a1")
     coeffs = t.series
     assert t.series is coeffs and not coeffs.flags.writeable

@@ -200,15 +200,13 @@ FLAG_SAMPLES = {
 }
 
 
-@pytest.mark.parametrize(
-    "field", [f for f in dc_fields(RunConfig) if f.metadata["flags"]], ids=lambda f: f.name
-)
+@pytest.mark.parametrize("field", dc_fields(RunConfig), ids=lambda f: f.name)
 def test_flag_and_config_file_agree(field, tmp_path):
     words, file_value = FLAG_SAMPLES[field.name]
     cfg_file = tmp_path / "one.cfg"
     cfg_file.write_text(f"{field.name}={file_value}\n")
     parser = cli.build_parser()
-    from_flag = cli._config_from(parser.parse_args(["sample", field.metadata["flags"][-1], *words]))
+    from_flag = cli._config_from(parser.parse_args(["sample", field.metadata["flag"], *words]))
     from_file = cli._config_from(parser.parse_args(["sample", "--config", str(cfg_file)]))
     assert repr(from_flag) == repr(from_file)  # repr also tells 389 from 389.0
     assert getattr(from_flag, field.name) != getattr(RunConfig(), field.name)
@@ -312,6 +310,24 @@ def test_cache_body_that_is_not_multiplicative_raises(fixture_catalog_path, fixt
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error:") and "not multiplicative" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_cache_coefficient_beyond_float64_exits_2(fixture_catalog_path, tmp_path, capsys):
+    # a multiplicative body whose a_2 (and so a_6 and a_10) no float64 holds
+    flags = ["--catalog", fixture_catalog_path, "--cache-dir", str(tmp_path), "--coefficients", "12"]
+    assert cli.main(["coeffs", "11a1", *flags]) == 0
+    header, *body = capsys.readouterr().out.splitlines()
+    a = [0, *(int(ln.split()[1]) for ln in body)]
+    a[2] = 10**400
+    a[6], a[10] = a[2] * a[3], a[2] * a[5]
+    path = cache_path(tmp_path, "11a1", 12)
+    path.write_text("\n".join([header, *(f"{n} {a[n]}" for n in range(1, 13))]) + "\n")
+    render = ["render", "11a1", "--width", "4", "--height", "3", "-o", str(tmp_path / "x.pgm")]
+    for argv in (["coeffs", "11a1"], render):
+        assert cli.main([*argv, *flags]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: coefficients must lie within the float64 range"), (argv, err)
+    assert not (tmp_path / "x.pgm").exists()
 
 
 def test_cache_undecodable_file_raises(fixture_records, tmp_path):
@@ -896,7 +912,7 @@ def test_cli_errors_exit_2(fixture_catalog_path, tmp_path):
 
 def test_every_command_offers_the_same_config_flags():
     names = {f.name for f in dc_fields(RunConfig)}
-    want = sorted(flag for f in dc_fields(RunConfig) for flag in f.metadata["flags"])
+    want = sorted(f.metadata["flag"] for f in dc_fields(RunConfig))
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted(sub.choices) == sorted(cli.COMMANDS) and len(sub.choices) == 7
     for command, parser in sub.choices.items():
@@ -963,9 +979,8 @@ def test_command_arguments_are_not_config_keys(line, fixture_catalog_path, tmp_p
 def test_cli_rejects_unbounded_windows(fixture_catalog_path, tmp_path, capsys):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("11a1\n")
-    # argparse reads a word as a negative number only if it is digits, so
-    # -1e308 goes in as -1 followed by 308 zeros
-    flag_windows = [["-1", "inf", "0", "1"], ["-1", "1", "0", "nan"], ["-1" + "0" * 308, "1e308", "0", "1"]]
+    flag_windows = [["-1", "inf", "0", "1"], ["-1", "1", "0", "nan"], ["-1" + "0" * 308, "1e308", "0", "1"],
+                    ["-inf", "1", "0", "1"], ["-1e308", "1e308", "0", "1"]]
     runs = [["--window", *w] for w in flag_windows]
     for i, window in enumerate(["-1,inf,0,1", "-inf,1,0,1", "-1e308,1e308,0,1"]):
         cfg_file = tmp_path / f"window{i}.cfg"
@@ -981,6 +996,22 @@ def test_cli_rejects_unbounded_windows(fixture_catalog_path, tmp_path, capsys):
             assert err.startswith("error: window must have RE_MIN < RE_MAX and IM_MIN < IM_MAX "
                                   "and a finite width and height"), (argv, run, err)
     assert not (tmp_path / "obs.csv").exists() and not (tmp_path / "x.pgm").exists()
+
+
+def test_cli_reads_negative_numbers_in_any_float_form(tmp_path):
+    images = []
+    for low in ("-2", "-2e0", "-2E+0", "-.2e1", "-2_0e-1"):
+        out = tmp_path / "exp.pgm"
+        argv = ["render", "exp:1", "--window", low, "2", "-2", "2", "--width", "12", "--height", "9"]
+        assert cli.main([*argv, "--iterations", "4", "-o", str(out)]) == 0, low
+        images.append(out.read_bytes())
+    assert images == images[:1] * 5
+    parser = cli.build_parser()
+    protocol = parser.parse_args(["observe", "m.txt", "--window", "-1.5e0", "4.5", "0", "12"])
+    assert cli._config_from(protocol).window == RunConfig().window
+    assert parser.parse_args(["observe", "m.txt", "--radius", "-inf"]).radius == -math.inf
+    with pytest.raises(SystemExit):  # a word float() does not read is still an option
+        parser.parse_args(["observe", "m.txt", "--window", "-x", "4.5", "0", "12"])
 
 
 def test_cli_coeffs_prints_cache_format(fixture_catalog_path, tmp_path):

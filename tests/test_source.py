@@ -1,14 +1,16 @@
-"""The package source carries no dead imports, and a run imports no
-numpy module it does not need.
+"""The package source carries no dead imports and no dead private
+helpers, and a run imports no numpy module it does not need.
 
-pyflakes and ruff are not dependencies, so the check walks each module's
-syntax tree: every name a `src/lflow` module binds by an import must be
-read somewhere in that module.
+pyflakes and ruff are not dependencies, so the checks walk the syntax
+trees: every name a `src/lflow` module binds by an import must be read
+somewhere in that module, and every private name a module defines at top
+level must be read somewhere in `src/lflow`.
 """
 
 import ast
 import glob
 import os
+import runpy
 import subprocess
 import sys
 
@@ -41,6 +43,56 @@ def test_unused_imports_are_found():
 def test_module_uses_every_name_it_imports(module):
     with open(module, encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private non-dunder names that a module defines at top level and
+    that no module reads: as a name, an attribute or an imported name."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [f"{name}: {d}" for d in defined
+                       if d.startswith("_") and not d.startswith("__") and d not in read]
+    return unread
+
+
+def test_unread_private_names_are_found():
+    sources = {"a": "_X, _Y = 1, 2\n__v__ = 0\ndef _f(): return _X\nclass _C: pass\n",
+               "b": "from a import _C\nimport a\na._f()\n"}
+    assert unread_private_names(sources) == ["a: _Y"]
+
+
+def test_package_reads_every_private_name_it_defines():
+    sources = {}
+    for module in MODULES:
+        with open(module, encoding="utf-8") as fh:
+            sources[os.path.basename(module)] = fh.read()
+    assert unread_private_names(sources) == []
+
+
+def test_source_size_leaves_comments_and_blank_lines_out_of_the_tokens(tmp_path):
+    source_size = runpy.run_path(os.path.join(REPO_ROOT, "tools", "source_size.py"))["source_size"]
+    path = tmp_path / "m.py"
+    path.write_text('a = 1  # note\n\n# alone\ndef f():\n    """doc"""\n')
+    # a = 1 NEWLINE (4), def f ( ) : NEWLINE (6), INDENT "doc" NEWLINE DEDENT (4), ENDMARKER
+    assert source_size(path) == (5, 15)
 
 
 def test_runs_keep_numpy_ma_out_of_the_process(tmp_path):
