@@ -178,9 +178,6 @@ class SamplePlan:
     master_seed: int
     strata: int = 0  # 0 means one stratum per requested curve
 
-    def effective_strata(self) -> int:
-        return self.strata if self.strata > 0 else max(1, self.size)
-
 
 def _eligible_in_range(records: list[CurveRecord], plan: SamplePlan):
     """The records eligible under `plan` with conductor in its range."""
@@ -222,25 +219,24 @@ def select_sample(records: list[CurveRecord], plan: SamplePlan) -> list[CurveRec
             f"[{plan.conductor_lo}, {plan.conductor_hi}], catalog has {len(by_class)}"
         )
 
-    strata = plan.effective_strata()
+    strata = plan.strata if plan.strata > 0 else max(1, plan.size)
     width = plan.conductor_hi - plan.conductor_lo + 1
-    bins: list[list[tuple[int, int]]] = [[] for _ in range(strata)]
+    bins: dict[int, list[tuple[int, int]]] = {}  # only strata that hold a class, ascending as keys come sorted
     for key in sorted(by_class):
-        b = min(strata - 1, (key[0] - plan.conductor_lo) * strata // width)
-        bins[b].append(key)
+        bins.setdefault(min(strata - 1, (key[0] - plan.conductor_lo) * strata // width), []).append(key)
 
     chosen: list[tuple[int, int]] = []
     counter = 0
     while len(chosen) < plan.size:  # until then some bin holds a class, and a sweep pops from each
-        for b in range(strata):
+        for keys in bins.values():
             if len(chosen) >= plan.size:
                 break
-            if not bins[b]:
+            if not keys:
                 continue
             u = unit_uniform(plan.master_seed, counter)
             counter += 1
-            idx = int(u * len(bins[b]))
-            chosen.append(bins[b].pop(idx))
+            idx = int(u * len(keys))
+            chosen.append(keys.pop(idx))
 
     return [by_class[key] for key in sorted(chosen)]
 

@@ -32,7 +32,7 @@ def _config_flags(p: argparse.ArgumentParser) -> None:
 def _config_from(args: argparse.Namespace) -> RunConfig:
     overrides = {}
     for f in fields(RunConfig):
-        value = getattr(args, f.name, None)  # nargs options arrive as lists
+        value = getattr(args, f.name)  # nargs options arrive as lists
         overrides[f.name] = tuple(value) if isinstance(value, list) else value
     return build_config(preset=args.preset, config_file=args.config, flag_overrides=overrides)
 

@@ -9,13 +9,11 @@ class LflowError(Exception):
 
 
 class CatalogError(LflowError):
-    """Catalog text could not be parsed."""
+    """Catalog text could not be parsed: the message names the line by its
+    number and quotes it."""
 
-    def __init__(self, message: str, line_number: int | None = None, line: str | None = None):
-        if line_number is not None:
-            detail = f" ({line.strip()!r})" if line else ""
-            message = f"line {line_number}: {message}{detail}"
-        super().__init__(message)
+    def __init__(self, message: str, line_number: int, line: str):
+        super().__init__(f"line {line_number}: {message} ({line.strip()!r})")
 
 
 class SingularCurveError(CatalogError):

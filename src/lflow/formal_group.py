@@ -24,36 +24,15 @@ def _mul(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-def _shift(p: list[int], k: int) -> list[int]:
-    return ([0] * k + p)[: _DEG + 1]
-
-
-def _scale(p: list[int], c: int) -> list[int]:
-    return [c * x for x in p]
-
-
-def _add(*polys: list[int]) -> list[int]:
-    out = [0] * (_DEG + 1)
-    for p in polys:
-        for i, x in enumerate(p):
-            out[i] += x
-    return out
-
-
 def _relation_rhs(a: tuple[int, int, int, int, int], w: list[int]) -> list[int]:
     a1, a2, a3, a4, a6 = a
     w2 = _mul(w, w)
-    w3 = _mul(w2, w)
-    z3 = [0] * (_DEG + 1)
-    z3[3] = 1
-    return _add(
-        z3,
-        _scale(_shift(w, 1), a1),
-        _scale(_shift(w, 2), a2),
-        _scale(w2, a3),
-        _scale(_shift(w2, 1), a4),
-        _scale(w3, a6),
-    )
+    out = [0] * (_DEG + 1)
+    out[3] = 1
+    for c, k, p in ((a1, 1, w), (a2, 2, w), (a3, 0, w2), (a4, 1, w2), (a6, 0, _mul(w2, w))):  # c z^k p
+        for i, x in enumerate(p[: _DEG + 1 - k]):
+            out[i + k] += c * x
+    return out
 
 
 def expand_formal_group(a: tuple[int, int, int, int, int]) -> tuple[int, ...]:
@@ -81,8 +60,7 @@ def defining_relation_residual(
 
 def nonic_polynomial(a: tuple[int, int, int, int, int]) -> list[complex]:
     """Ascending coefficients of x^3 + A1 x^4 + ... + A6 x^9, length 10."""
-    expansion = expand_formal_group(a)
-    return [0j, 0j, 0j, 1 + 0j, *(complex(c) for c in expansion)]
+    return [complex(c) for c in nonic_integer_coefficients(a)]
 
 
 def nonic_integer_coefficients(a: tuple[int, int, int, int, int]) -> list[int]:

@@ -80,7 +80,7 @@ class AnTable:
         return coeffs
 
 
-_COUNT_BLOCK = 16384  # values of g per pass: bounds the count's working set
+_COUNT_BLOCK = 16384  # values of g per pass, in whole rows and at least one: bounds the count's working set
 
 
 def _point_counts(models: list, p: int) -> list[int]:
@@ -90,7 +90,8 @@ def _point_counts(models: list, p: int) -> list[int]:
     of g over x with a scalar p, by Horner's rule reduced mod p after the
     quadratic step and at the end, so every intermediate stays below 5p^2:
     int32 when that is below 2^31, else int64 (exact for p below 1.3e9).  A
-    pass covers at most _COUNT_BLOCK values of g, whole rows while p allows."""
+    pass covers as many whole rows as fit in _COUNT_BLOCK values of g, or
+    above p = _COUNT_BLOCK one row of p values, as long as the table chi."""
     if p == 2:  # the four (x, y) pairs, where x^3 = x^2 = x and y^2 = y
         return [sum((y * (1 + a1 * x + a3) + x * (1 + a2 + a4) + a6) % 2 == 0 for x in (0, 1) for y in (0, 1))
                 for a1, a2, a3, a4, a6 in models]
@@ -102,22 +103,19 @@ def _point_counts(models: list, p: int) -> list[int]:
     chi = np.full(p, -1)
     chi[squares.astype(np.intp)] = 1
     chi[0] = 0
-    rows, width = max(1, _COUNT_BLOCK // p), min(p, _COUNT_BLOCK)
+    x = np.arange(p, dtype=dtype)
+    rows = max(1, _COUNT_BLOCK // p)
     counts = []
     for top in range(0, len(models), rows):
         b2, b4, b6 = b[:, top : top + rows]
-        n_p = p
-        for start in range(0, p, width):
-            x = np.arange(start, min(start + width, p), dtype=dtype)
-            g = 4 * x + b2
-            g *= x
-            g += b4
-            g -= g // p * p
-            g *= x
-            g += b6
-            g -= g // p * p
-            n_p += chi[g.astype(np.intp)].sum(axis=1)
-        counts += n_p.tolist()
+        g = 4 * x + b2
+        g *= x
+        g += b4
+        g -= g // p * p
+        g *= x
+        g += b6
+        g -= g // p * p
+        counts += (p + chi[g.astype(np.intp)].sum(axis=1)).tolist()
     return counts
 
 

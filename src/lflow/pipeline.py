@@ -544,10 +544,4 @@ def cmd_reproduce(cfg: RunConfig, output_dir) -> dict:
         + f"wall_seconds={wall:.3f}\n"
     )
     (out / "summary.txt").write_text(summary, encoding="ascii")
-    return {
-        "report": report,
-        "excluded": excluded,
-        "eligible": eligible,
-        "rows": rows,
-        "wall_seconds": wall,
-    }
+    return {"report": report, "excluded": excluded, "eligible": eligible}

@@ -166,6 +166,36 @@ def test_parse_rejects_bad_domains():
             parse_catalog(line + "\n")
 
 
+LINE_11A1 = "11 a 1 [0,-1,1,-10,-20] 0 5"
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("11 a 1 [0,-1,1,-10,-20] 0", CatalogError,
+     "line 1: expected 6 fields, got 5 ('11 a 1 [0,-1,1,-10,-20] 0')"),
+    ("\n\n  11 a x [0,-1,1,-10,-20] 0 5\t", CatalogError,
+     "line 3: invalid literal for int() with base 10: 'x' ('11 a x [0,-1,1,-10,-20] 0 5')"),
+    ("11 a 1 [0,-1,1,-10] 0 5", CatalogError,
+     "line 1: bad a-invariant list '[0,-1,1,-10]' ('11 a 1 [0,-1,1,-10] 0 5')"),
+    ("0 a 1 [0,-1,1,-10,-20] 0 5", CatalogError,
+     "line 1: conductor must be positive, got 0 ('0 a 1 [0,-1,1,-10,-20] 0 5')"),
+    ("11 a 0 [0,-1,1,-10,-20] 0 5", CatalogError,
+     "line 1: curve index must be >= 1, got 0 ('11 a 0 [0,-1,1,-10,-20] 0 5')"),
+    ("11 a 1 [0,-1,1,-10,-20] 0 0", CatalogError,
+     "line 1: torsion order must be >= 1, got 0 ('11 a 1 [0,-1,1,-10,-20] 0 0')"),
+    ("11 a 1 [0,-1,1,-10,-20] -1 5", CatalogError,
+     "line 1: rank must be >= 0, got -1 ('11 a 1 [0,-1,1,-10,-20] -1 5')"),
+    (LINE_11A1 + "\n1 a 1 [0,0,0,0,0] 0 1", SingularCurveError,
+     "line 2: singular curve (discriminant is zero) ('1 a 1 [0,0,0,0,0] 0 1')"),
+    (LINE_11A1 + "\n\n" + LINE_11A1, CatalogError,
+     f"line 3: duplicate curve 11a1 ({LINE_11A1!r})"),
+], ids=["fields", "int", "ainvs", "conductor", "index", "torsion", "rank", "singular", "duplicate"])
+def test_parse_errors_name_the_line_and_quote_it(text, error, message):
+    with pytest.raises(CatalogError) as err:
+        parse_catalog(text + "\n")
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 def test_load_catalog_rejects_undecodable_bytes(tmp_path):
     path = tmp_path / "catalog.txt"
     path.write_bytes(b"11 a 1 [0,-1,1,-10,-20] 0 5\n\xff\n")
@@ -277,6 +307,18 @@ def test_select_sample_returns_size_distinct_eligible_classes(fixture_records):
             chosen = select_sample(fixture_records, plan(size=size, seed=size, strata=strata))
             assert len({(r.conductor, r.isogeny_class) for r in chosen}) == len(chosen) == size, (strata, size)
             assert all(r.curve_index == 1 and is_eligible(r, 3) and 11 <= r.conductor <= 1000 for r in chosen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 20000), st.integers(0, 30), st.integers(0, 2**32), st.sampled_from([400, 1000, 2000]))
+def test_property_strata_beyond_the_conductor_range_give_the_same_sample(fixture_records, extra, size, seed, hi):
+    # from strata = width on, every conductor is a stratum of its own, and
+    # only strata that hold a class draw, so more strata change nothing.  The
+    # strata stay small: a program that allocates per stratum runs in process
+    # here (the CLI test takes 10^15 in a child with bounded memory)
+    width = hi - 11 + 1
+    want = select_sample(fixture_records, plan(size=size, seed=seed, strata=width, hi=hi))
+    assert select_sample(fixture_records, plan(size=size, seed=seed, strata=width + extra, hi=hi)) == want
 
 
 def test_select_sample_insufficient_classes(fixture_records):

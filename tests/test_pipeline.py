@@ -3,6 +3,7 @@
 import argparse
 import math
 import os
+import resource
 import subprocess
 import sys
 import threading
@@ -732,7 +733,7 @@ def test_config_summary_lists_every_field(fixture_catalog_path, tmp_path):
 # ----------------------------------------------------------------------- CLI
 
 
-def run_cli(args, cwd, env_extra=None):
+def run_cli(args, cwd, env_extra=None, **kwargs):
     # The child runs in ``cwd``, where a relative PYTHONPATH such as ``src``
     # resolves to nothing; put the checkout's absolute src first so the child
     # imports the same in-tree lflow as the in-process tests.
@@ -748,6 +749,7 @@ def run_cli(args, cwd, env_extra=None):
         cwd=cwd,
         env=env,
         timeout=300,
+        **kwargs,
     )
 
 
@@ -763,6 +765,21 @@ def test_cli_sample_and_nonic(fixture_catalog_path, tmp_path):
     r2 = run_cli(["nonic", "11a1", "--catalog", fixture_catalog_path], tmp_path)
     assert r2.returncode == 0, r2.stderr
     assert [int(x) for x in r2.stdout.split()] == [0, 0, 0, 1, 0, -1, 1, -9, -3, 11]
+
+
+def test_cli_sample_strata_cost_nothing_beyond_the_conductor_range(fixture_catalog_path, tmp_path):
+    # 990 is the width of sample1's 11..1000: from there on every conductor is
+    # a stratum of its own.  The child gets 2 GB of address space, so a
+    # program that allocates per stratum fails instead of exhausting memory.
+    def run(strata):
+        out = tmp_path / f"strata-{strata}.txt"
+        argv = ["sample", "--preset", "sample1", "--catalog", fixture_catalog_path, "--strata", str(strata),
+                "-o", str(out)]
+        r = run_cli(argv, tmp_path, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)))
+        assert r.returncode == 0, r.stderr
+        return out.read_bytes()
+
+    assert run(10**15) == run(990)
 
 
 def test_cli_observe_correlate_round_trip(fixture_catalog_path, tmp_path):

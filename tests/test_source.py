@@ -9,6 +9,7 @@ level must be read somewhere in `src/lflow`.
 
 import ast
 import glob
+import importlib
 import os
 import runpy
 import subprocess
@@ -93,6 +94,21 @@ def test_source_size_leaves_comments_and_blank_lines_out_of_the_tokens(tmp_path)
     path.write_text('a = 1  # note\n\n# alone\ndef f():\n    """doc"""\n')
     # a = 1 NEWLINE (4), def f ( ) : NEWLINE (6), INDENT "doc" NEWLINE DEDENT (4), ENDMARKER
     assert source_size(path) == (5, 15)
+
+
+def test_every_perfbench_trace_point_resolves():
+    # the bench's tracer patches lflow names by module and attribute, and a
+    # name it cannot find reads 0 in every traced run instead of failing it
+    patches = runpy.run_path(os.path.join(REPO_ROOT, "perfbench", "tracer.py"))["PATCHES"]
+    missing = []
+    for owner_path, attr, _ in patches:
+        module, *names = owner_path.split(".")
+        target = importlib.import_module(f"lflow.{module}")
+        for name in [*names, attr]:
+            target = getattr(target, name, None)
+        if not callable(target):
+            missing.append(f"{owner_path}.{attr}")
+    assert patches and missing == []
 
 
 def test_runs_keep_numpy_ma_out_of_the_process(tmp_path):

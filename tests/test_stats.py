@@ -9,7 +9,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from lflow.errors import UndefinedCorrelationError
+from lflow.errors import NumericError, UndefinedCorrelationError
 from lflow.stats import (
     average_ranks,
     correlation_report,
@@ -145,6 +145,12 @@ def test_incomplete_beta_against_scipy():
         assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
     assert regularized_incomplete_beta(3.0, 4.0, 0.0) == 0.0
     assert regularized_incomplete_beta(3.0, 4.0, 1.0) == 1.0
+
+
+def test_incomplete_beta_gives_up_when_the_fraction_does_not_converge():
+    # near x = a / (a + b) with a, b this large the fraction needs far more than 500 steps
+    with pytest.raises(NumericError, match="did not converge"):
+        regularized_incomplete_beta(1e7, 1e7, 0.5)
 
 
 # ------------------------------------------------------------------- reports
