@@ -110,9 +110,10 @@ COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lflow", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)  # declared once, the parent of every command
+    _config_flags(config)
     for command, (help_text, arguments, _) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
-        _config_flags(p)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False, parents=[config])
         for names, kwargs in arguments:
             p.add_argument(*names, **kwargs)
     return parser

@@ -71,6 +71,9 @@ class AnTable:
             raise ValueError("coefficients are not multiplicative")
         object.__setattr__(self, "_cell_lock", threading.Lock())  # see _cell_coefficients
 
+    def __reduce__(self):  # a copy runs the checks again and gets its own lock and cells
+        return AnTable, (self.label, self.conductor, self.m, self.coefficients, self.a_invariants)
+
     @cached_property
     def series(self) -> np.ndarray:
         """a_n as a read-only float64 array, converted once per table for
@@ -229,7 +232,7 @@ def sigma0_sqrt_bound(n: int) -> float:
     return sum(n % d == 0 for d in range(1, n + 1)) * math.sqrt(n)
 
 
-_EVAL_CHUNK = 128  # points per block; fixed, so results do not depend on the batch
+_EVAL_CHUNK = 128  # points per recursion block; fixed, so results do not depend on the batch
 _EVAL_PLAN_LOCK = threading.Lock()  # one plan build per m, however many threads ask
 _SCRATCH = threading.local()  # per thread: one flat complex buffer that every block reuses
 
@@ -387,8 +390,8 @@ def _eval_block(plan: _EvalPlan, coeffs: np.ndarray, s: np.ndarray) -> np.ndarra
 
 
 def _cell_coefficients(table: AnTable, plan: _EvalPlan, cells: np.ndarray) -> np.ndarray:
-    """The table's (117, D+1) cell coefficients, with every cell in `cells`
-    built.
+    """The table's (D+1, 117) cell coefficients, degree-major (row k holds
+    c_k of every cell), with every cell in `cells` built.
 
     A cell is built once per table, under the table's lock, and never
     changes after: c_k = sum_n a_n n^(-s0) (-ln n)^k / k!, s0 = i + j*1j.
@@ -397,13 +400,13 @@ def _cell_coefficients(table: AnTable, plan: _EvalPlan, cells: np.ndarray) -> np
     n^(-s0); the parts of a_n n^(-s0) go as rows into this thread's
     scratch buffer (2 max(_CELL_BLOCK, m) complex at most), and one einsum
     (numpy's own loop, no BLAS) reduces each row against the Taylor rows
-    by itself, so a cell's bits depend on the table and the cell alone,
-    not on the block that built it.
+    by itself into a column of c_k, so a cell's bits depend on the table
+    and the cell alone, not on the block that built it.
     """
     wanted = np.bincount(cells, minlength=_CELL_COUNT) > 0
     with table._cell_lock:
         if not hasattr(table, "_cells"):  # allocated with the first cell
-            object.__setattr__(table, "_cells", (np.zeros((_CELL_COUNT, plan.taylor.shape[0]), complex),
+            object.__setattr__(table, "_cells", (np.zeros((plan.taylor.shape[0], _CELL_COUNT), complex),
                                                  np.zeros(_CELL_COUNT, bool)))
         coeffs, built = table._cells
         todo = np.flatnonzero(wanted & ~built)
@@ -419,23 +422,20 @@ def _cell_coefficients(table: AnTable, plan: _EvalPlan, cells: np.ndarray) -> np
             np.multiply(np.exp(scale, out=scale), terms, out=terms)  # n^(-s0) = n^(-i) n^(-ij)
             np.multiply(terms.real, table.series, out=parts[0::2])
             np.multiply(terms.imag, table.series, out=parts[1::2])
-            sums = np.einsum("kn,jn->kj", plan.taylor, parts).T  # a row per part, as in parts
-            coeffs.real[block], coeffs.imag[block] = sums[0::2], sums[1::2]
+            sums = np.einsum("kn,jn->kj", plan.taylor, parts)  # a column per part, as parts has rows
+            coeffs.real[:, block], coeffs.imag[:, block] = sums[:, 0::2], sums[:, 1::2]
         built[todo] = True
     return coeffs
 
 
 def _eval_cells(coeffs: np.ndarray, cells: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """sum_k c_k ds^k per point, c_k from the point's cell: one cumprod
-    along each point's row of powers, one product and one row sum, each
-    point in one row of the scratch arrays."""
-    powers, terms = _scratch_arrays(coeffs.shape[1], ds.size, ds.size)
-    powers[:, 0] = 1
-    powers[:, 1:] = ds[:, None]
-    np.multiply.accumulate(powers, axis=1, out=powers)
-    np.take(coeffs, cells, axis=0, out=terms)
-    terms *= powers
-    return terms.sum(axis=1)
+    """sum_k c_k ds^k per point by Horner's rule, c_k from row k of coeffs
+    at the point's cell: one product and one add per degree, elementwise."""
+    res = coeffs[-1, cells]
+    for c in coeffs[-2::-1]:
+        res = res * ds  # never res *= ds: numpy multiplies a one-point array in place with other bits
+        res += c[cells]
+    return res
 
 
 def eval_truncated_l_many(table: AnTable, s: np.ndarray) -> np.ndarray:
@@ -452,8 +452,9 @@ def eval_truncated_l_many(table: AnTable, s: np.ndarray) -> np.ndarray:
     A cell's c_k are built with the first call that has a point in it,
     once per table under the table's lock (see _cell_coefficients), so
     each cell has the same bits at every thread count and in every
-    order.  The powers (s - s0)^k come from one cumprod along the point's
-    own row and are summed along it, so no step mixes points.
+    order.  All the cell points of a call go together through Horner's
+    rule, res = c_D, then res = res * ds + c_k for k = D-1 .. 0 with ds =
+    s - s0, each step elementwise, so no step mixes points.
 
     Every other point, non-finite ones included, takes the recursion.
     With G(x, i) the sum of a_n n^(-s) over the n <= x whose prime factors
@@ -496,10 +497,7 @@ def eval_truncated_l_many(table: AnTable, s: np.ndarray) -> np.ndarray:
             col, row = col[inside], row[inside]
             cells = (row * _CELL_COLUMNS + col).astype(np.intp)
             coeffs = _cell_coefficients(table, plan, cells)
-            ds = upper[inside] - ((col + _CELL_LEFT) + 1j * row)
-            for start in range(0, inside.size, _EVAL_CHUNK):
-                block = slice(start, start + _EVAL_CHUNK)
-                res[inside[block]] = _eval_cells(coeffs, cells[block], ds[block])
+            res[inside] = _eval_cells(coeffs, cells, upper[inside] - ((col + _CELL_LEFT) + 1j * row))
         np.conjugate(res, out=res, where=fold)
     return res.reshape(s.shape)
 

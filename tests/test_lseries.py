@@ -7,12 +7,15 @@ O(p^2) count, an O(p) Euler-criterion count in Python ints stands in.
 """
 
 import cmath
+import copy
 import hashlib
 import math
+import pickle
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -543,15 +546,18 @@ def test_eval_conjugate_symmetry_is_exact():
 
 
 def test_eval_many_matches_scalar_bitwise():
+    # every point, in the cells and outside the grid, has the bits of its
+    # one-point evaluation: a one-point array takes other numpy loops
     t = build_an_table(CURVE_17A1, 17, 500, "17a1")
     rng = random.Random(14)
     pts = np.array(
         [complex(rng.uniform(-2, 4), rng.uniform(0, 12)) for _ in range(4097)]
+        + [complex(rng.uniform(-12, 16), rng.choice((-1, 1)) * rng.uniform(12.5, 30)) for _ in range(300)]
+        + [complex(rng.choice((-8, 9)) + rng.uniform(-4, 4), rng.uniform(-12, 12)) for _ in range(300)]
     )
     vec = eval_truncated_l_many(t, pts)
     assert vec.shape == pts.shape
-    for i in (0, 1, 2047, 2048, 2049, 4096):
-        assert vec[i] == eval_truncated_l(t, complex(pts[i]))
+    assert same_bits(vec, [eval_truncated_l(t, complex(p)) for p in pts])
 
 
 def test_eval_many_batch_size_invariance():
@@ -823,6 +829,46 @@ def test_cells_match_fsum_direct_sum(m):
         assert abs(value - direct) <= CELL_TOLERANCE * math.fsum(np.abs(terms)), s
 
 
+def mp_sums(tables, pts):
+    """sum_n a_n n^(-s) at 120 bits for each table (all of one length m) at
+    each point: p^(-s) by exp at the primes, every other n^(-s) as the
+    product p^(-s) (n/p)^(-s) with p its smallest prime factor."""
+    m = tables[0].m
+    spf = list(range(m + 1))
+    for q in range(2, math.isqrt(m) + 1):
+        for n in range(q * q, m + 1, q):
+            spf[n] = min(spf[n], q)
+    sums = []
+    with mpmath.workprec(120):
+        for s in pts:
+            s = mpmath.mpc(s.real, s.imag)
+            powers = [mpmath.mpc(1)] * (m + 1)
+            for n in range(2, m + 1):
+                p = spf[n]
+                powers[n] = mpmath.exp(-s * mpmath.log(n)) if p == n else powers[p] * powers[n // p]
+            sums.append([complex(mpmath.fdot(zip(t.coefficients, powers[1:]))) for t in tables])
+    return sums
+
+
+@pytest.mark.parametrize("m", [1000, 10000])
+def test_cells_match_a_120_bit_sum(m):
+    # the cell polynomial rounds about as much as sum_k |c_k| |s - s0|^k,
+    # which is up to sum |a_n| n^(-Re s0 + 1/sqrt(2)): right of a centre s0
+    # that is far above sum |a_n| n^(-Re s) (up to 2.8e-13 of it on right
+    # cell edges at m = 10000), so the scale is taken at min(Re s, Re s0)
+    tables = [build_an_table(curve, n, m, label) for curve, n, label in
+              ((CURVE_11A1, 11, "11a1"), (CURVE_37A1, 37, "37a1"), (CURVE_389A1, 389, "389a1"))]
+    rng = random.Random(m)
+    pts = [complex(rng.uniform(-3.5, 5.5), rng.uniform(-12.5, 12.5)) for _ in range(24)]
+    pts += [complex(i + dx, j + dy) for i, j in ((-2, 2), (0, 12), (4, 0))  # rint(i +- 0.5) = i for even i
+            for dx, dy in ((0.5, 0.5), (0.5, -0.5), (-0.5, 0.5))] + [1 + 0j, -3 + 0j, 5.5 - 12.5j]
+    got = [eval_truncated_l_many(t, np.array(pts)) for t in tables]
+    for i, (s, exact) in enumerate(zip(pts, mp_sums(tables, pts))):
+        scale_at = complex(min(s.real, np.rint(s.real)))
+        for t, values, want in zip(tables, got, exact):
+            assert abs(values[i] - want) <= 1e-13 * abs_term_sum(t, scale_at), (t.label, s)
+
+
 def test_cells_keep_the_sign_of_zero_under_conjugation():
     # a point with the sign bit of Im s set is conj L(conj s), in a cell
     # and on the recursion alike, so on the real axis L(x - 0j) is
@@ -909,6 +955,16 @@ def test_cell_build_stays_in_its_scratch_bound():
         assert buf.size <= 2 * max(_CELL_BLOCK, m), m
         assert not np.shares_memory(coeffs, buf)
         assert same_bits(coeffs, kept)
+
+
+def test_an_table_pickles_and_deep_copies_with_its_own_lock_and_cells():
+    t = build_an_table(CURVE_11A1, 11, 300, "11a1")
+    pts = np.concatenate([cell_points(), [-5 + 3j, 6 + 0j, 0.5 + 13j, complex(math.nan, 1)]])
+    values = eval_truncated_l_many(t, pts)  # the original has built its cells
+    for twin in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+        assert twin == t and twin is not t
+        assert twin._cell_lock is not t._cell_lock and not hasattr(twin, "_cells")
+        assert same_bits(eval_truncated_l_many(twin, pts), values)
 
 
 def test_series_array_computed_once_per_table():

@@ -932,9 +932,13 @@ def test_every_command_offers_the_same_config_flags():
     want = sorted(f.metadata["flag"] for f in dc_fields(RunConfig))
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted(sub.choices) == sorted(cli.COMMANDS) and len(sub.choices) == 7
+    shared = None  # declared once: every command holds the same action objects
     for command, parser in sub.choices.items():
         offered = sorted(flag for a in parser._actions if a.dest in names for flag in a.option_strings)
         assert offered == want, command
+        config = [a for a in parser._actions if a.dest in names | {"config", "preset"}]
+        shared = shared or config
+        assert len(config) == len(names) + 2 and all(a is b for a, b in zip(config, shared)), command
 
 
 @pytest.mark.parametrize("argv", [["sample"], ["coeffs", "11a1"], ["observe", "manifest.txt"],

@@ -111,6 +111,15 @@ def test_every_perfbench_trace_point_resolves():
     assert patches and missing == []
 
 
+def test_perfbench_selftest_passes():
+    # a tiny pass of every workload through the bench harness, traced and
+    # not; no bytecode is written, so perfbench/ stays as it is checked in
+    r = subprocess.run([sys.executable, os.path.join("perfbench", "selftest.py")], cwd=REPO_ROOT,
+                       env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"), capture_output=True, text=True,
+                       timeout=600)
+    assert r.returncode == 0, r.stdout[-2000:] + r.stderr[-2000:]
+
+
 def test_runs_keep_numpy_ma_out_of_the_process(tmp_path):
     # np.unique and other set routines import numpy.ma, which costs about
     # 1.3 MB of resident memory and 10 ms per process
