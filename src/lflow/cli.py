@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
+
+# before numpy loads: lflow calls no BLAS, and OpenBLAS's idle pool threads spin
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import pipeline
 from .dynamics import CUMULATIVE, FINAL

@@ -122,12 +122,6 @@ def _point_counts(models: list, p: int) -> list[int]:
     return counts
 
 
-def count_points(a: AInvariants, p: int) -> int:
-    """N_p, the number of affine solutions of the Weierstrass equation over
-    F_p, the singular point (if any) included: _point_counts for one model."""
-    return _point_counts([a], p)[0]
-
-
 def _check_reduction(p: int, conductor: int, disc: int) -> None:
     """The reduction is singular exactly when p | disc (Silverman, Prop.
     III.1.4), which must hold exactly at the primes dividing the conductor."""
@@ -150,7 +144,7 @@ def trace_of_frobenius(a: AInvariants, p: int, conductor: int) -> int:
     """Frobenius trace a_p = p + 1 - #E(F_p) = p - N_p, the point at infinity
     counted, at good and bad primes alike (see _check_reduction and _trace)."""
     _check_reduction(p, conductor, discriminant(a))
-    return _trace(count_points(a, p), p, conductor)
+    return _trace(_point_counts([a], p)[0], p, conductor)
 
 
 class _Sieve(NamedTuple):

@@ -53,8 +53,32 @@ def _parse_bool(raw: str) -> bool:
     return word in ("1", "true", "yes", "on")
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318665857834031151167461  # the least strong pseudoprime to all of _MR_BASES
+
+
 def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    """Deterministic Miller-Rabin test over _MR_BASES (Miller 1976, Rabin
+    1980), exact below _PSI_12 (Jaeschke 1993; Sorenson and Webster 2015).
+    Values from _PSI_12 up are refused: no catalog conductor comes near."""
+    if not 2 <= p < _PSI_12:
+        return False
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):  # a^d, a^2d, ..., a^(2^(s-1) d): one of them must be -1
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
 
 
 def _at_least(n: int):
@@ -441,15 +465,6 @@ def format_report(report: CorrelationReport, excluded: int) -> str:
         f"reject={'true' if report.reject else 'false'}",
     ]
     return "\n".join(text) + "\n"
-
-
-def parse_report_block(text: str) -> dict:
-    out = {}
-    for ln in text.splitlines():
-        if "=" in ln and " " not in ln.strip():
-            key, _, value = ln.strip().partition("=")
-            out[key] = value
-    return out
 
 
 def cmd_correlate(csv_text: str, alpha: float) -> str:

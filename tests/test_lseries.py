@@ -39,7 +39,6 @@ from lflow.lseries import (
     _taylor_degree,
     build_an_table,
     build_an_tables,
-    count_points,
     eval_truncated_l,
     eval_truncated_l_many,
     l_at_one,
@@ -128,6 +127,11 @@ def oracle_an(a, conductor, m):
 
 
 # -------------------------------------------------------------- point counts
+
+
+def count_points(a, p):
+    """N_p, the affine solutions over F_p with the singular point (if any): _point_counts for one model."""
+    return _point_counts([a], p)[0]
 
 
 def test_count_points_four_case_hand_enumeration():

@@ -44,7 +44,6 @@ from lflow.pipeline import (
     parse_config_file,
     parse_manifest,
     parse_observations_csv,
-    parse_report_block,
     pgm_bytes,
     resolve_map_selector,
     serialize_an_table,
@@ -66,6 +65,16 @@ def base_cfg(fixture_catalog_path, tmp_path, **kw):
     )
     defaults.update(kw)
     return RunConfig(**defaults)
+
+
+def parse_report_block(text: str) -> dict:
+    """The key=value lines of a correlation report."""
+    out = {}
+    for ln in text.splitlines():
+        if "=" in ln and " " not in ln.strip():
+            key, _, value = ln.strip().partition("=")
+            out[key] = value
+    return out
 
 
 # -------------------------------------------------------------------- config
@@ -177,6 +186,32 @@ def test_config_validation():
         with pytest.raises(ConfigError, match=f"bad_prime must be a prime >= 2, got {bad_prime}"):
             build_config(flag_overrides={"bad_prime": bad_prime}, environ={})
     assert build_config(flag_overrides={"bad_prime": 2}, environ={}).bad_prime == 2
+
+
+PSI_12 = 318665857834031151167461  # the least strong pseudoprime to the twelve prime bases 2..37
+
+
+def test_bad_prime_is_decided_by_miller_rabin_and_bounded(capsys):
+    # strong pseudoprimes to the bases 2-7, to every base but 37, and to all
+    # twelve (refused by the bound), then Carmichael numbers
+    for n in (3215031751, 3825123056546413051, PSI_12, 561, 41041, 825265):
+        with pytest.raises(ConfigError, match=f"bad_prime must be a prime >= 2, got {n}"):
+            build_config(flag_overrides={"bad_prime": n}, environ={})
+    assert cli.main(["sample", "--bad-prime", str(PSI_12)]) == 2
+    assert capsys.readouterr().err == f"error: bad_prime must be a prime >= 2, got {PSI_12}\n"
+    start = time.perf_counter()  # trial division takes minutes here
+    assert build_config(flag_overrides={"bad_prime": 2**61 - 1}, environ={}).bad_prime == 2**61 - 1
+    assert time.perf_counter() - start < 0.1
+
+
+def test_bad_prime_test_agrees_with_a_sieve():
+    n = 100000
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, math.isqrt(n) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = False
+    assert [p for p in range(n) if pipeline._is_prime(p)] == np.flatnonzero(sieve).tolist()
 
 
 # One sample value per RunConfig field that has a flag: the command-line

@@ -1,5 +1,6 @@
-"""The package source carries no dead imports and no dead private
-helpers, and a run imports no numpy module it does not need.
+"""The package source carries no dead imports, no dead private helpers and
+no call into numpy's BLAS, and a run imports no numpy module and starts no
+BLAS thread it does not need.
 
 pyflakes and ruff are not dependencies, so the checks walk the syntax
 trees: every name a `src/lflow` module binds by an import must be read
@@ -88,6 +89,38 @@ def test_package_reads_every_private_name_it_defines():
     assert unread_private_names(sources) == []
 
 
+# numpy routines that hand their work to BLAS (np.linalg, and polyfit, cov
+# and corrcoef through it); einsum does too when asked to optimize
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg", "polyfit", "cov", "corrcoef"}
+
+
+def blas_calls(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "einsum":
+            if any(k.arg == "optimize" for k in node.keywords):
+                found.append((node.lineno, "einsum(optimize=)"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_blas_calls_are_found():
+    source = "a @ b\nc @= d\nnp.linalg.norm(x)\nx.dot(y)\nnp.einsum('ij,jk', a, b, optimize=True)\n" \
+             "np.einsum('ij,jk', a, b)\nnp.add(a, b)\n"
+    assert blas_calls(source) == ["line 1: @", "line 2: @", "line 3: linalg", "line 4: dot",
+                                  "line 5: einsum(optimize=)"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=os.path.basename)
+def test_module_calls_no_blas(module):
+    # the CLI caps OpenBLAS at one thread on this premise (see cli.py)
+    with open(module, encoding="utf-8") as fh:
+        assert blas_calls(fh.read()) == []
+
+
 def test_source_size_leaves_comments_and_blank_lines_out_of_the_tokens(tmp_path):
     source_size = runpy.run_path(os.path.join(REPO_ROOT, "tools", "source_size.py"))["source_size"]
     path = tmp_path / "m.py"
@@ -120,6 +153,12 @@ def test_perfbench_selftest_passes():
     assert r.returncode == 0, r.stdout[-2000:] + r.stderr[-2000:]
 
 
+def lflow_env() -> dict:
+    """This process's environment, with the checkout's src first on the path."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(REPO_ROOT, "src"), os.environ.get("PYTHONPATH")])))
+
+
 def test_runs_keep_numpy_ma_out_of_the_process(tmp_path):
     # np.unique and other set routines import numpy.ma, which costs about
     # 1.3 MB of resident memory and 10 ms per process
@@ -132,9 +171,29 @@ assert cli.main(["render", "11a1", "--width", "16", "--height", "12",
                  "-o", {str(tmp_path / "11a1.pgm")!r}, *flags]) == 0
 print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
 """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [os.path.join(REPO_ROOT, "src"), os.environ.get("PYTHONPATH")])))
-    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=lflow_env(),
                        cwd=tmp_path, timeout=300)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the thread count from /proc")
+def test_cli_caps_the_openblas_pool_unless_the_user_set_it():
+    # numpy's OpenBLAS starts its worker threads at import, and they spin
+    # for BLAS work that lflow never sends
+    script = """
+import os
+import lflow.cli
+threads = [ln.split()[1] for ln in open("/proc/self/status") if ln.startswith("Threads:")]
+print(threads[0], os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+    def threads_and_setting(env):
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert r.returncode == 0, r.stderr
+        return r.stdout.split()
+
+    unset = lflow_env()
+    unset.pop("OPENBLAS_NUM_THREADS", None)
+    assert threads_and_setting(unset) == ["1", "1"]
+    assert threads_and_setting(dict(unset, OPENBLAS_NUM_THREADS="2"))[1] == "2"
