@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import CatalogError, SamplingError, SingularCurveError, read_text
-from .rng import unit_uniform
+from .rng import unit_uniform_array
 
 _LABEL_RE = re.compile(r"^(\d+)([a-z]+)(\d+)$")
 _AINVS_RE = re.compile(r"^\[(-?\d+),(-?\d+),(-?\d+),(-?\d+),(-?\d+)\]$")
@@ -191,8 +191,8 @@ def select_sample(records: list[CurveRecord], plan: SamplePlan) -> list[CurveRec
 
     Eligible classes in [conductor_lo, conductor_hi] are binned into
     equal-width conductor strata.  Bins are visited cyclically; each
-    visit removes one class drawn uniformly (counter-based RNG, counter
-    advancing once per draw) until `size` classes are chosen.  The
+    visit removes one class drawn uniformly until `size` classes are
+    chosen, draw k using counter k of the counter-based RNG.  The
     curve with index 1 represents its class.  Output is sorted by
     conductor, then class code.
     """
@@ -225,18 +225,12 @@ def select_sample(records: list[CurveRecord], plan: SamplePlan) -> list[CurveRec
     for key in sorted(by_class):
         bins.setdefault(min(strata - 1, (key[0] - plan.conductor_lo) * strata // width), []).append(key)
 
+    draws = unit_uniform_array(plan.master_seed, 0, plan.size)
     chosen: list[tuple[int, int]] = []
-    counter = 0
     while len(chosen) < plan.size:  # until then some bin holds a class, and a sweep pops from each
         for keys in bins.values():
-            if len(chosen) >= plan.size:
-                break
-            if not keys:
-                continue
-            u = unit_uniform(plan.master_seed, counter)
-            counter += 1
-            idx = int(u * len(keys))
-            chosen.append(keys.pop(idx))
+            if keys and len(chosen) < plan.size:
+                chosen.append(keys.pop(int(draws[len(chosen)] * len(keys))))
 
     return [by_class[key] for key in sorted(chosen)]
 

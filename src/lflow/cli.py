@@ -137,7 +137,7 @@ def main(argv=None) -> int:
     _, _, handler = COMMANDS[args.command]
     try:
         _emit(*handler(args, _config_from(args)))
-    except (LflowError, OSError) as exc:
+    except (LflowError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

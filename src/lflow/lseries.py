@@ -43,7 +43,7 @@ import math
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -64,23 +64,19 @@ class AnTable:
             raise ValueError("coefficient table length must equal m >= 1")
         if self.coefficients[0] != 1:
             raise ValueError("a_1 must be 1")
+        try:  # numpy raises OverflowError for exactly the a_n that float64 cannot hold
+            series = np.array(self.coefficients, dtype=np.float64)
+        except OverflowError:
+            raise ValueError("coefficients must lie within the float64 range") from None
+        series.setflags(write=False)
         c = (0, *self.coefficients)  # c[n] = a_n
-        if not -2**1024 + 2**970 < min(c) <= max(c) < 2**1024 - 2**970:  # what float() converts without overflow
-            raise ValueError("coefficients must lie within the float64 range")
         if any(c[n] != c[q] * c[rest] for n, q, rest in _coprime_splits(self.m)):
             raise ValueError("coefficients are not multiplicative")
+        object.__setattr__(self, "series", series)  # a_n for eval_truncated_l_many and smoothed_l_at_one; not a field
         object.__setattr__(self, "_cell_lock", threading.Lock())  # see _cell_coefficients
 
     def __reduce__(self):  # a copy runs the checks again and gets its own lock and cells
         return AnTable, (self.label, self.conductor, self.m, self.coefficients, self.a_invariants)
-
-    @cached_property
-    def series(self) -> np.ndarray:
-        """a_n as a read-only float64 array, converted once per table for
-        eval_truncated_l_many and smoothed_l_at_one."""
-        coeffs = np.asarray(self.coefficients, dtype=np.float64)
-        coeffs.setflags(write=False)
-        return coeffs
 
 
 _COUNT_BLOCK = 16384  # values of g per pass, in whole rows and at least one: bounds the count's working set

@@ -2,9 +2,9 @@
 
 Every random draw in the package comes from a stateless hash of
 (master_seed, counter), so results never depend on call order, thread
-count, or process layout.  The hash is the SplitMix64 output mixer
-applied to master_seed + (counter + 1) * GOLDEN, and the 64-bit result
-is scaled into [0, 1) by taking the top 53 bits.
+count, or process layout.  Draw k under master seed m is
+U(m, k) = (splitmix64((m + (k + 1) * GOLDEN) mod 2^64) >> 11) * 2^-53:
+the top 53 bits of the SplitMix64 output mixer, scaled into [0, 1).
 """
 
 from __future__ import annotations
@@ -16,25 +16,9 @@ _MASK = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
 
 
-def splitmix64(value: int) -> int:
-    """SplitMix64 output mixer on a 64-bit integer."""
-    z = value & _MASK
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-    return z ^ (z >> 31)
-
-
-def unit_uniform(master_seed: int, counter: int) -> float:
-    """U(master_seed, counter) in [0, 1)."""
-    x = splitmix64((master_seed + (counter + 1) * GOLDEN) & _MASK)
-    return (x >> 11) * _INV_2_53
-
-
 def unit_uniform_array(master_seed: int, start: int, count: int) -> np.ndarray:
-    """Vector of U(master_seed, k) for k = start .. start+count-1.
-
-    Bit-identical to calling unit_uniform counter by counter.
-    """
+    """Vector of U(master_seed, k) for k = start .. start+count-1, where
+    U(m, k) = (splitmix64((m + (k + 1) * GOLDEN) mod 2^64) >> 11) * 2^-53."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     k = np.arange(start, start + count, dtype=np.uint64)

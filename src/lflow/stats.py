@@ -117,8 +117,6 @@ def student_t_sf(t: float, df: float) -> float:
         return 0.5
     if t < 0.0:
         return 1.0 - student_t_sf(-t, df)
-    if math.isinf(t):
-        return 0.0
     x = df / (df + t * t)
     return 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
 

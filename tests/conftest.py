@@ -15,6 +15,24 @@ CURVE_21A1 = (1, 0, 0, -4, -1)
 CURVE_37A1 = (0, 0, 1, -1, 0)
 CURVE_389A1 = (0, 1, 1, -2, 0)
 
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def reference_splitmix64(x):
+    # transcribed from Steele/Lea/Flood, "Fast splittable pseudorandom number
+    # generators" (the standard public-domain mix); independent of src/
+    z = (x + GOLDEN) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def unit_uniform(master_seed, counter):
+    """The scalar oracle for lflow.rng: U(m, k) = (reference_splitmix64((m +
+    k * GOLDEN) mod 2^64) >> 11) * 2^-53, one draw at a time."""
+    return (reference_splitmix64((master_seed + counter * GOLDEN) & MASK64) >> 11) * 2.0**-53
+
 
 @pytest.fixture(scope="session")
 def fixture_catalog_path():

@@ -29,7 +29,7 @@ from lflow.catalog import (
 )
 from lflow.errors import CatalogError, LflowError, SamplingError, SingularCurveError
 
-from conftest import CURVE_11A1, FIXTURE_CATALOG, REPO_ROOT
+from conftest import CURVE_11A1, FIXTURE_CATALOG, REPO_ROOT, unit_uniform
 
 
 def reference_discriminant(a):
@@ -319,6 +319,48 @@ def test_property_strata_beyond_the_conductor_range_give_the_same_sample(fixture
     width = hi - 11 + 1
     want = select_sample(fixture_records, plan(size=size, seed=seed, strata=width, hi=hi))
     assert select_sample(fixture_records, plan(size=size, seed=seed, strata=width + extra, hi=hi)) == want
+
+
+def per_draw_sample(records, plan):
+    # the sampler as a loop that draws one class at a time, each from the
+    # scalar oracle at the next counter
+    by_class = {
+        (r.conductor, class_code_to_int(r.isogeny_class)): r
+        for r in records
+        if r.curve_index == 1 and plan.conductor_lo <= r.conductor <= plan.conductor_hi and is_eligible(r, plan.bad_prime)
+    }
+    strata = plan.strata if plan.strata > 0 else max(1, plan.size)
+    width = plan.conductor_hi - plan.conductor_lo + 1
+    bins = {}
+    for key in sorted(by_class):
+        bins.setdefault(min(strata - 1, (key[0] - plan.conductor_lo) * strata // width), []).append(key)
+    chosen = []
+    counter = 0
+    while len(chosen) < plan.size:
+        for keys in bins.values():
+            if len(chosen) >= plan.size:
+                break
+            if not keys:
+                continue
+            u = unit_uniform(plan.master_seed, counter)
+            counter += 1
+            chosen.append(keys.pop(int(u * len(keys))))
+    return [by_class[key] for key in sorted(chosen)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.data(),
+    st.integers(-(2**65), 2**66),
+    st.integers(0, 500),
+    st.sampled_from([(11, 1000), (11, 10000), (100, 400)]),
+    st.sampled_from([2, 3, 5]),
+)
+def test_property_select_sample_matches_per_draw_loop(fixture_records, data, seed, strata, bounds, bad_prime):
+    lo, hi = bounds
+    eligible = count_eligible_classes(fixture_records, SamplePlan(bad_prime, lo, hi, 0, seed))
+    p = SamplePlan(bad_prime, lo, hi, data.draw(st.integers(0, eligible)), seed, strata)
+    assert select_sample(fixture_records, p) == per_draw_sample(fixture_records, p)
 
 
 def test_select_sample_insufficient_classes(fixture_records):

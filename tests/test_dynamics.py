@@ -28,9 +28,8 @@ from lflow.dynamics import (
     seed_cloud,
 )
 from lflow.lseries import AnTable, build_an_table
-from lflow.rng import unit_uniform
 
-from conftest import CURVE_11A1
+from conftest import CURVE_11A1, unit_uniform
 
 
 def zeta_table(m):

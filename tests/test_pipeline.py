@@ -817,6 +817,24 @@ def test_cli_sample_strata_cost_nothing_beyond_the_conductor_range(fixture_catal
     assert run(10**15) == run(990)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["render", "11a1", "--width", "100000000", "--height", "100000000", "-o", "x.pgm"],
+        ["reproduce", "--preset", "smoke", "--n-seeds", "10000000000000"],
+        ["coeffs", "11a1", "--coefficients", "10000000000000"],
+    ],
+    ids=["render", "reproduce", "coeffs"],
+)
+def test_cli_oversized_run_exits_2_without_traceback(fixture_catalog_path, tmp_path, argv):
+    # 2 GB of address space: the allocation fails at once, and the child
+    # reports it as a user error instead of a traceback
+    r = run_cli([*argv, "--catalog", fixture_catalog_path], tmp_path,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
 def test_cli_observe_correlate_round_trip(fixture_catalog_path, tmp_path):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("33a1\n66b1\n105a1\n")

@@ -1,52 +1,40 @@
-"""Counter-based RNG: reference vectors, scalar/vector agreement, stream layout."""
+"""Counter-based RNG: reference vectors, agreement with the scalar oracle, stream layout."""
 
 import numpy as np
 
-from lflow.rng import GOLDEN, splitmix64, unit_uniform, unit_uniform_array
+from lflow.rng import unit_uniform_array
 
-MASK = 0xFFFFFFFFFFFFFFFF
-
-
-def reference_splitmix64(x):
-    # transcribed from Steele/Lea/Flood, "Fast splittable pseudorandom number
-    # generators" (the standard public-domain mix); independent of src/
-    z = (x + 0x9E3779B97F4A7C15) & MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
-    return z ^ (z >> 31)
+from conftest import GOLDEN, MASK64, reference_splitmix64, unit_uniform
 
 
 def test_splitmix64_reference_vector():
     # first outputs of the canonical stream seeded with 0: the published
     # test vector starts e220a8397b1dcdaf, 6e789e6aa1b965f4, 06c45d188009454f
-    stream = [splitmix64((k * GOLDEN) & MASK) for k in (1, 2, 3)]
-    assert stream[0] == 0xE220A8397B1DCDAF
-    assert stream[1] == 0x6E789E6AA1B965F4
-    assert stream[2] == 0x06C45D188009454F
+    vector = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert [reference_splitmix64((k * GOLDEN) & MASK64) for k in (0, 1, 2)] == vector
+    # U(0, k) is the top 53 bits of output k of that stream
+    assert unit_uniform_array(0, 0, 3).tolist() == [(x >> 11) * 2.0**-53 for x in vector]
 
 
 def test_splitmix64_matches_independent_transcription():
     rng = np.random.default_rng(42)
     for x in rng.integers(0, 2**64, size=500, dtype=np.uint64):
         x = int(x)
-        assert splitmix64((x + GOLDEN) & MASK) == reference_splitmix64(x)
+        assert unit_uniform_array(x, 0, 1)[0] == (reference_splitmix64(x) >> 11) * 2.0**-53
 
 
 def test_unit_uniform_range_and_grain():
     # 53-bit mantissa scaling: every draw lies in [0, 1) and is an exact
     # multiple of 2^-53
     for m in (0, 1, 7, 2**63):
-        for k in range(200):
-            u = unit_uniform(m, k)
-            assert 0.0 <= u < 1.0
-            assert (u * 2.0**53) == int(u * 2.0**53)
+        u = unit_uniform_array(m, 0, 200)
+        assert np.all((0.0 <= u) & (u < 1.0))
+        assert np.array_equal(u * 2.0**53, np.floor(u * 2.0**53))
 
 
 def test_unit_uniform_frozen_values():
     # regression pins for the exact stream the sampler consumes
-    assert unit_uniform(1, 0) == 0.5665615751722809
-    assert unit_uniform(1, 1) == 0.7457817572627011
-    assert unit_uniform(1, 2) == 0.9710027535867962
+    assert unit_uniform_array(1, 0, 3).tolist() == [0.5665615751722809, 0.7457817572627011, 0.9710027535867962]
 
 
 def test_vector_path_bit_identical_to_scalar():
@@ -63,8 +51,8 @@ def test_vector_path_bit_identical_to_scalar():
 
 
 def test_streams_decorrelated_across_seeds():
-    a = [unit_uniform(1, k) for k in range(100)]
-    b = [unit_uniform(2, k) for k in range(100)]
-    assert a != b
+    a = unit_uniform_array(1, 0, 100)
+    b = unit_uniform_array(2, 0, 100)
+    assert not np.array_equal(a, b)
     # same (seed, counter) always replays
-    assert a == [unit_uniform(1, k) for k in range(100)]
+    assert np.array_equal(a, unit_uniform_array(1, 0, 100))
