@@ -18,8 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lseries import AnTable, eval_truncated_l_many
+from .lseries import AnTable, eval_truncated_l_many, horner
 from .rng import unit_uniform_array
+from .stats import centred_sums
 
 NEVER = 0
 CUMULATIVE = "cumulative"
@@ -64,11 +65,7 @@ class PolynomialMap:
     def apply_many(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.complex128)
         with np.errstate(all="ignore"):
-            acc = np.full(z.shape, self.coefficients[-1], dtype=np.complex128)
-            for c in reversed(self.coefficients[:-1]):
-                np.multiply(acc, z, out=acc)
-                acc += c
-        return acc
+            return horner(np.full(z.shape, self.coefficients[-1]), reversed(self.coefficients[:-1]), z)
 
     def __repr__(self):
         return f"PolynomialMap(degree={len(self.coefficients) - 1})"
@@ -181,7 +178,6 @@ def escape_time_field(
     def run_share(i: int) -> None:
         share, out = z0[i::workers], escape[i::workers]
         for start in range(0, share.size, _FIELD_BLOCK):
-            # a contiguous copy, so that a block runs the numpy loops a batch runs
             block = np.ascontiguousarray(share[start : start + _FIELD_BLOCK])
             out[start : start + _FIELD_BLOCK], _ = _iterate(spec, block, radius, iterations, mode)
 
@@ -216,16 +212,9 @@ def fit_decay(survivors) -> tuple[float, float]:
     if len(points) < 2:
         k_star, _ = points[0]
         return math.log(s[0] / s[k_star]) / k_star, 1.0
-    n = len(points)
-    mean_k = sum(k for k, _ in points) / n
-    mean_y = sum(y for _, y in points) / n
-    sxx = sum((k - mean_k) ** 2 for k, _ in points)
-    sxy = sum((k - mean_k) * (y - mean_y) for k, y in points)
-    syy = sum((y - mean_y) ** 2 for _, y in points)
+    sxx, sxy, syy = centred_sums(*zip(*points))
     slope = sxy / sxx
-    if syy == 0.0:
-        return (0.0 if slope == 0.0 else -slope), 1.0
-    r_squared = min(1.0, (sxy * sxy) / (sxx * syy))
+    r_squared = 1.0 if syy == 0.0 else min(1.0, (sxy * sxy) / (sxx * syy))
     return (0.0 if slope == 0.0 else -slope), r_squared
 
 

@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import AInvariants, discriminant
+from .catalog import AInvariants, b_invariants, discriminant
 from .errors import ConsistencyError, NumericError
 
 @dataclass(frozen=True)
@@ -95,8 +95,8 @@ def _point_counts(models: list, p: int) -> list[int]:
         return [sum((y * (1 + a1 * x + a3) + x * (1 + a2 + a4) + a6) % 2 == 0 for x in (0, 1) for y in (0, 1))
                 for a1, a2, a3, a4, a6 in models]
     dtype = np.int32 if 5 * p * p < 2**31 else np.int64
-    b = np.array([((a1 * a1 + 4 * a2) % p, 2 * (2 * a4 + a1 * a3) % p, (a3 * a3 + 4 * a6) % p)
-                  for a1, a2, a3, a4, a6 in models], dtype=dtype).reshape(-1, 3, 1).transpose(1, 0, 2)
+    b = np.array([(b2 % p, 2 * b4 % p, b6 % p) for b2, b4, b6, _ in map(b_invariants, models)],
+                 dtype=dtype).reshape(-1, 3, 1).transpose(1, 0, 2)
     squares = np.arange(1, (p + 1) // 2, dtype=dtype) ** 2
     squares -= squares // p * p
     chi = np.full(p, -1)
@@ -222,7 +222,7 @@ def sigma0_sqrt_bound(n: int) -> float:
     return sum(n % d == 0 for d in range(1, n + 1)) * math.sqrt(n)
 
 
-_EVAL_CHUNK = 128  # points per recursion block; fixed, so results do not depend on the batch
+_EVAL_CHUNK = 128  # points per recursion block: bounds the working set; a point owns a column, so no bit moves
 _EVAL_PLAN_LOCK = threading.Lock()  # one plan build per m, however many threads ask
 _SCRATCH = threading.local()  # per thread: one flat complex buffer that every block reuses
 
@@ -418,13 +418,14 @@ def _cell_coefficients(table: AnTable, plan: _EvalPlan, cells: np.ndarray) -> np
     return coeffs
 
 
-def _eval_cells(coeffs: np.ndarray, cells: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """sum_k c_k ds^k per point by Horner's rule, c_k from row k of coeffs
-    at the point's cell: one product and one add per degree, elementwise."""
-    res = coeffs[-1, cells]
-    for c in coeffs[-2::-1]:
-        res = res * ds  # never res *= ds: numpy multiplies a one-point array in place with other bits
-        res += c[cells]
+def horner(top, lower, x: np.ndarray) -> np.ndarray:
+    """top x^D + ... + c_0 by Horner's rule, `lower` giving c_{D-1} .. c_0:
+    one product and one add per degree, elementwise, so a point's bits do
+    not depend on its batch."""
+    res = top
+    for c in lower:
+        res = res * x  # never res *= x: numpy multiplies a one-point array in place with other bits
+        res += c
     return res
 
 
@@ -442,9 +443,10 @@ def eval_truncated_l_many(table: AnTable, s: np.ndarray) -> np.ndarray:
     A cell's c_k are built with the first call that has a point in it,
     once per table under the table's lock (see _cell_coefficients), so
     each cell has the same bits at every thread count and in every
-    order.  All the cell points of a call go together through Horner's
-    rule, res = c_D, then res = res * ds + c_k for k = D-1 .. 0 with ds =
-    s - s0, each step elementwise, so no step mixes points.
+    order.  All the cell points of a call go together through horner,
+    res = c_D, then res = res * ds + c_k for k = D-1 .. 0 with ds = s -
+    s0, each step elementwise, so no step mixes points.  PolynomialMap
+    shares horner, so apply_map equals the batch bit for bit for every map.
 
     Every other point, non-finite ones included, takes the recursion.
     With G(x, i) the sum of a_n n^(-s) over the n <= x whose prime factors
@@ -487,7 +489,8 @@ def eval_truncated_l_many(table: AnTable, s: np.ndarray) -> np.ndarray:
             col, row = col[inside], row[inside]
             cells = (row * _CELL_COLUMNS + col).astype(np.intp)
             coeffs = _cell_coefficients(table, plan, cells)
-            res[inside] = _eval_cells(coeffs, cells, upper[inside] - ((col + _CELL_LEFT) + 1j * row))
+            ds = upper[inside] - ((col + _CELL_LEFT) + 1j * row)
+            res[inside] = horner(coeffs[-1, cells], (c[cells] for c in coeffs[-2::-1]), ds)
         np.conjugate(res, out=res, where=fold)
     return res.reshape(s.shape)
 

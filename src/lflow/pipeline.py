@@ -204,11 +204,13 @@ def load_catalog_for(cfg: RunConfig) -> list[cat.CurveRecord]:
     return cat.load_catalog(cfg.catalog_path)
 
 
-def _record_by_label(records, label: str) -> cat.CurveRecord:
-    for r in records:
-        if r.label == label:
-            return r
-    raise LflowError(f"label {label!r} not found in catalog")
+def _records(cfg: RunConfig, *labels: str) -> list[cat.CurveRecord]:
+    """The catalog records of `labels`, in order, from one dict of the catalog."""
+    by_label = {r.label: r for r in load_catalog_for(cfg)}
+    try:
+        return [by_label[lb] for lb in labels]
+    except KeyError as exc:
+        raise LflowError(f"label {exc.args[0]!r} not found in catalog") from None
 
 
 # --- coefficient cache ---------------------------------------------------
@@ -366,14 +368,7 @@ def parse_observations_csv(text: str) -> list[ObservationRow]:
 def cmd_sample(cfg: RunConfig) -> tuple[str, int]:
     """Returns (manifest text, eligible class count)."""
     records = load_catalog_for(cfg)
-    plan = cat.SamplePlan(
-        bad_prime=cfg.bad_prime,
-        conductor_lo=cfg.conductor_lo,
-        conductor_hi=cfg.conductor_hi,
-        size=cfg.size,
-        master_seed=cfg.master_seed,
-        strata=cfg.strata,
-    )
+    plan = cat.SamplePlan(**{f.name: getattr(cfg, f.name) for f in fields(cat.SamplePlan)})
     sample = cat.select_sample(records, plan)
     eligible = cat.count_eligible_classes(records, plan)
     manifest = "".join(r.label + "\n" for r in sample)
@@ -382,7 +377,7 @@ def cmd_sample(cfg: RunConfig) -> tuple[str, int]:
 
 def cmd_coeffs(label: str, cfg: RunConfig) -> str:
     """The curve's a_n table, built or read from the cache, in cache format."""
-    record = _record_by_label(load_catalog_for(cfg), label)
+    record = _records(cfg, label)[0]
     return serialize_an_table(get_an_table(record, cfg.m, cfg.cache_dir))
 
 
@@ -424,8 +419,7 @@ def cmd_observe(manifest_labels: list[str], cfg: RunConfig) -> list[ObservationR
     tables come first, from one get_an_tables on this thread; the pool
     then runs each curve's L(1) and escape iteration, and each table (with
     its Taylor cells) goes once its curve is done."""
-    records = load_catalog_for(cfg)
-    picked = [_record_by_label(records, lb) for lb in manifest_labels]
+    picked = _records(cfg, *manifest_labels)
     tables = get_an_tables(picked, cfg.m, cfg.cache_dir)
     with ThreadPoolExecutor(worker_count(cfg)) as pool:
         rows = pool.map(_observe_one, picked, tables, [cfg] * len(picked))
@@ -499,9 +493,9 @@ def resolve_map_selector(selector: str, cfg: RunConfig):
         except ValueError as exc:
             raise ConfigError(f"bad lambda in {selector!r}: {exc}") from None
     if selector.startswith("nonic:"):
-        record = _record_by_label(load_catalog_for(cfg), selector[6:])
+        record = _records(cfg, selector[6:])[0]
         return PolynomialMap(nonic_polynomial(record.a_invariants))
-    record = _record_by_label(load_catalog_for(cfg), selector)
+    record = _records(cfg, selector)[0]
     return DirichletMap(get_an_table(record, cfg.m, cfg.cache_dir))
 
 
@@ -517,8 +511,7 @@ def cmd_render(selector: str, cfg: RunConfig, width: int, height: int, mode: str
 
 
 def cmd_nonic(label: str, cfg: RunConfig) -> list[int]:
-    records = load_catalog_for(cfg)
-    return nonic_integer_coefficients(_record_by_label(records, label).a_invariants)
+    return nonic_integer_coefficients(_records(cfg, label)[0].a_invariants)
 
 
 # --- reproduce -----------------------------------------------------------

@@ -38,13 +38,15 @@ def average_ranks(values) -> list[float]:
     return ranks
 
 
+def centred_sums(x, y) -> tuple[float, float, float]:
+    """(sum (x - mean x)^2, sum (x - mean x)(y - mean y), sum (y - mean y)^2)."""
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    return (sum((a - mx) ** 2 for a in x), sum((a - mx) * (b - my) for a, b in zip(x, y)),
+            sum((b - my) ** 2 for b in y))
+
+
 def _pearson(x: list[float], y: list[float]) -> float:
-    n = len(x)
-    mx = sum(x) / n
-    my = sum(y) / n
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
-    sxx = sum((a - mx) ** 2 for a in x)
-    syy = sum((b - my) ** 2 for b in y)
+    sxx, sxy, syy = centred_sums(x, y)
     if sxx == 0.0 or syy == 0.0:
         raise UndefinedCorrelationError("correlation undefined for constant input")
     return sxy / math.sqrt(sxx * syy)
@@ -109,8 +111,8 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 def student_t_sf(t: float, df: float) -> float:
     """P(T >= t) for Student's t with df degrees of freedom."""
-    if df <= 0:
-        raise ValueError("degrees of freedom must be positive")
+    if not 0 < df < math.inf:
+        raise ValueError("degrees of freedom must be positive and finite")
     if math.isnan(t):
         raise ValueError("t is NaN")
     if t == 0.0:

@@ -59,3 +59,10 @@ def multiplicative_coefficients(m, prime_power_value):
             q *= p
         coeffs.append(prime_power_value(q) if q == n else coeffs[q] * coeffs[n // q])
     return tuple(coeffs[1:])
+
+
+def zeta_table(m):
+    """The table a_n = 1 for n <= m: the truncated Riemann zeta function."""
+    from lflow.lseries import AnTable
+
+    return AnTable("zeta", 1, m, (1,) * m)

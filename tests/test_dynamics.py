@@ -32,8 +32,7 @@ from lflow.lseries import AnTable, build_an_table
 from conftest import CURVE_11A1, unit_uniform
 
 
-def zeta_table(m):
-    return AnTable("zeta", 1, m, (1,) * m)
+TABLE_11A1 = build_an_table(CURVE_11A1, 11, 120, "11a1")
 
 
 # ----------------------------------------------------------------- apply_map
@@ -67,6 +66,40 @@ def test_dirichlet_map_matches_series_sum():
             an * cmath.exp(-z * math.log(n)) for n, an in enumerate(t.coefficients, 1)
         )
         assert apply_map(f, z) == pytest.approx(direct, rel=1e-10, abs=1e-10)
+
+
+@st.composite
+def maps_and_batches(draw):
+    """A polynomial of degree 1..9 with random complex coefficients, lam *
+    exp(z) or the 11a1 Dirichlet map, and a batch of points in a box where
+    the map both stays finite and overflows, some with a signed zero or a
+    non-finite part."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def uniform_complex(r):
+        return complex(rng.uniform(-r, r), rng.uniform(-r, r))
+
+    kind = draw(st.sampled_from(["polynomial", "exp", "dirichlet"]))
+    if kind == "polynomial":
+        spec, r = PolynomialMap([uniform_complex(3) for _ in range(rng.randint(2, 10))]), 3
+    elif kind == "exp":
+        spec, r = ScaledExpMap(uniform_complex(2)), 800
+    else:
+        spec, r = DirichletMap(TABLE_11A1), 15
+    special = [complex(0.0, -0.0), complex(-0.0, 0.0), complex(2.0, -0.0), complex(math.inf, 1),
+               complex(math.nan, 1)]
+    n = draw(st.integers(2, 40))
+    zs = [rng.choice(special) if rng.random() < 0.1 else uniform_complex(r) for _ in range(n)]
+    return spec, np.array(zs, dtype=np.complex128)
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps_and_batches())
+def test_property_batch_of_one_is_a_batch(run):
+    # compared as bytes, so that the sign of zero and the nan payload count
+    spec, zs = run
+    for z, want in zip(zs, spec.apply_many(zs)):
+        assert np.complex128(apply_map(spec, z)).tobytes() == want.tobytes(), (spec, z)
 
 
 def test_apply_map_overflow_is_silent():
@@ -444,9 +477,6 @@ def test_property_kernel_split_invariant(run, data):
     tail_escape, tail_survivors = _iterate(spec, seeds[cut:], radius, iterations, mode)
     assert np.array_equal(escape, np.concatenate([head_escape, tail_escape]))
     assert survivors == [a + b for a, b in zip(head_survivors, tail_survivors)]
-
-
-TABLE_11A1 = build_an_table(CURVE_11A1, 11, 120, "11a1")
 
 
 @st.composite

@@ -56,6 +56,7 @@ from conftest import (
     CURVE_37A1,
     CURVE_389A1,
     multiplicative_coefficients,
+    zeta_table,
 )
 
 
@@ -504,10 +505,6 @@ def test_sigma0_sqrt_bound_values():
 
 
 # --------------------------------------------------------------- evaluation
-
-
-def zeta_table(m):
-    return AnTable("zeta", 1, m, (1,) * m)
 
 
 def delta_table(m):

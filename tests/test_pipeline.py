@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lflow import cli, pipeline
+from lflow.catalog import SamplePlan
 from lflow.dynamics import FINAL, NEVER, EscapeField, Window, escape_iterate, escape_time_field
 from lflow.errors import CacheError, ConfigError, ConsistencyError, LflowError, UndefinedCorrelationError
 from lflow.lseries import AnTable, build_an_table
@@ -487,6 +488,11 @@ def test_observations_csv_rejects_malformed():
 # ------------------------------------------------------------------ commands
 
 
+def test_sample_plan_fields_are_run_config_fields():
+    # cmd_sample fills each SamplePlan field from the RunConfig field of the same name
+    assert {f.name for f in dc_fields(SamplePlan)} <= {f.name for f in dc_fields(RunConfig)}
+
+
 def test_cmd_sample_manifest(fixture_catalog_path, tmp_path):
     from lflow.catalog import split_label
 
@@ -584,8 +590,9 @@ def test_cmd_observe_raises_for_the_first_failing_record_in_manifest_order(tmp_p
 
 def test_cmd_observe_unknown_label(fixture_catalog_path, tmp_path):
     cfg = base_cfg(fixture_catalog_path, tmp_path)
-    with pytest.raises(LflowError):
-        cmd_observe(["99999zz9"], cfg)
+    with pytest.raises(LflowError, match="^label '99999zz9' not found in catalog$"):
+        cmd_observe(["11a1", "99999zz9", "11a1", "99998zz8"], cfg)
+    assert not os.path.exists(cfg.cache_dir)  # no table is built for a manifest that names an unknown label
 
 
 def test_smoothed_flag_changes_l1_column(fixture_catalog_path, tmp_path):

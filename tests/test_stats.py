@@ -110,6 +110,13 @@ def test_t_sf_fixed_points():
     assert student_t_sf(math.inf, 7) == 0.0
 
 
+def test_t_sf_rejects_non_finite_df():
+    for df in (math.inf, math.nan, -math.inf):
+        for t in (0.0, 1.5, math.inf):
+            with pytest.raises(ValueError, match="degrees of freedom must be positive and finite"):
+                student_t_sf(t, df)
+
+
 def test_t_sf_reflection_identity():
     for t in (0.3, 1.7, 4.2):
         for df in (1, 4, 28):
