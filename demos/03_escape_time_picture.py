@@ -21,22 +21,23 @@ table = build_an_table(rec.a_invariants, rec.conductor, 1000, rec.label)
 
 field = escape_time_field(DirichletMap(table), WINDOW, 96, 64, RADIUS, ITERATIONS)
 with open("11a1.pgm", "wb") as fh:
-    fh.write(pgm_bytes(field))
-print(f"wrote 11a1.pgm ({field.width}x{field.height}, radius {RADIUS:g}, K={ITERATIONS})")
+    fh.write(pgm_bytes(field, ITERATIONS))
+height, width = field.shape
+print(f"wrote 11a1.pgm ({width}x{height}, radius {RADIUS:g}, K={ITERATIONS})")
 
 # coarse ASCII preview: darker character = survives longer
 CHARS = " .:-=+*#%@"
-step_y = field.height // 24
-step_x = field.width // 72
+step_y = height // 24
+step_x = width // 72
 print()
-for j in range(0, field.height, step_y):
+for j in range(0, height, step_y):
     row = ""
-    for i in range(0, field.width, step_x):
-        k = int(field.values[j, i])
+    for i in range(0, width, step_x):
+        k = int(field[j, i])
         row += "@" if k == 0 else CHARS[min(9, 9 - (9 * (ITERATIONS - k)) // ITERATIONS)]
     print(row)
 print("\n('@' marks seeds that never escape within K iterations)")
 
-never = int((field.values == 0).sum())
-total = field.width * field.height
+never = int((field == 0).sum())
+total = field.size
 print(f"{never}/{total} pixels never escape ({100.0 * never / total:.1f}%)")

@@ -31,11 +31,12 @@ terms = " + ".join(
 ).replace("+ -", "- ")
 print(f"\nnonic for 11a1: P(x) = {terms}")
 
+K = 12
 field = escape_time_field(
-    PolynomialMap([complex(c) for c in coeffs]), (-1.3, 1.3, -1.3, 1.3), 64, 48, 100.0, 12
+    PolynomialMap([complex(c) for c in coeffs]), (-1.3, 1.3, -1.3, 1.3), 64, 48, 100.0, K
 )
 with open("11a1_nonic.pgm", "wb") as fh:
-    fh.write(pgm_bytes(field))
-never = int((field.values == 0).sum())
-print(f"wrote 11a1_nonic.pgm; {never}/{64 * 48} pixels never escape")
+    fh.write(pgm_bytes(field, K))
+never = int((field == 0).sum())
+print(f"wrote 11a1_nonic.pgm; {never}/{field.size} pixels never escape")
 print("(near the origin P(x) ~ x^3, so a basin of attraction survives)")

@@ -72,13 +72,7 @@ def class_code_to_int(code: str) -> int:
 def int_to_class_code(n: int) -> str:
     if n < 0:
         raise ValueError("class ordinal must be nonnegative")
-    if n == 0:
-        return "a"
-    digits = []
-    while n:
-        n, r = divmod(n, 26)
-        digits.append(chr(ord("a") + r))
-    return "".join(reversed(digits))
+    return (int_to_class_code(n // 26) if n >= 26 else "") + chr(ord("a") + n % 26)
 
 
 def split_label(label: str) -> tuple[int, str, int]:
@@ -152,15 +146,13 @@ def load_catalog(path) -> list[CurveRecord]:
 def is_squarefree(n: int) -> bool:
     if n < 1:
         return False
-    if n % 4 == 0:
-        return False
-    d = 3
+    d = 2
     while d * d <= n:
         if n % (d * d) == 0:
             return False
         while n % d == 0:
             n //= d
-        d += 2
+        d += 1
     return True
 
 

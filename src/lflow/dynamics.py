@@ -129,20 +129,6 @@ def escape_iterate(spec, z0: complex, radius: float, iterations: int, mode: str 
     return int(escape[0])
 
 
-@dataclass(frozen=True)
-class EscapeField:
-    values: np.ndarray  # shape (height, width), entries in {NEVER, 1..K}
-    iterations: int
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-
 _FIELD_BLOCK = 16384  # seeds per _iterate call in a field: bounds each thread's working set
 
 
@@ -155,8 +141,9 @@ def escape_time_field(
     iterations: int,
     mode: str = CUMULATIVE,
     workers: int = 1,
-) -> EscapeField:
-    """Escape iterate per pixel.  Pixel (i, j) seeds at the cell center
+) -> np.ndarray:
+    """The read-only (height, width) int32 array of escape iterates, NEVER
+    or 1..iterations, one per pixel.  Pixel (i, j) seeds at the cell center
     re_min + (i+0.5)*dre/width + 1j*(im_max - (j+0.5)*dim/height), so
     row 0 sits at the top of the window.
 
@@ -185,7 +172,7 @@ def escape_time_field(
         list(pool.map(run_share, range(workers)))
     values = escape.reshape(height, width)
     values.setflags(write=False)
-    return EscapeField(values, int(iterations))
+    return values
 
 
 def fit_decay(survivors) -> tuple[float, float]:

@@ -15,8 +15,6 @@ _DEG = 9
 def _mul(p: list[int], q: list[int]) -> list[int]:
     out = [0] * (_DEG + 1)
     for i, pi in enumerate(p):
-        if pi == 0:
-            continue
         for j, qj in enumerate(q):
             if i + j > _DEG:
                 break

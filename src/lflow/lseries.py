@@ -12,29 +12,16 @@ and the Legendre table mod p (see _point_counts).  Coefficients extend to
 all n <= M through the Hecke recursion at prime powers plus multiplicativity.
 
 The truncated series L_M(s) = sum_{n<=M} a_n n^(-s) is evaluated in
-complex float64 in one of two ways, chosen by the point alone (see
+complex float64 on one of two paths, chosen by the point alone (see
 eval_truncated_l_many).  Near the region where escape iteration spends
-its evaluations, -3.5 < Re s < 5.5 and |Im s| <= 12.5, a fixed grid
-of Taylor cells replaces the sum by a polynomial, as in Odlyzko and
-Schoenhage (1988): unit squares around the centres s0 = i + j*1j (i =
--3..5, j = 0..12, 117 cells), each holding c_k = sum_n a_n n^(-s0)
-(-ln n)^k / k! for k <= D, so L_M(s) = sum_k c_k (s - s0)^k.  With r =
-1/sqrt(2) the largest |s - s0| in a cell, D is the smallest degree with
-(r ln M)^(D+1) / (D+1)! * M^r <= 1e-17, which bounds the remainder by
-1e-17 sum |a_n| n^(-Re s0) (D = 38 at M = 1000, 45 at M = 10000).  A
-table builds each cell once, under a per-table lock, with the first call
-that needs it: the cells a call lacks together, in bounded blocks.
-
-Every other point, non-finite ones included, is summed by grouping n by
-its smallest prime factor (Buchstab's identity): exp at the primes, one
+its evaluations, -3.5 < Re s < 5.5 and |Im s| <= 12.5, a fixed grid of
+117 Taylor cells replaces the sum by a polynomial, as in Odlyzko and
+Schoenhage (1988) (see _taylor_degree and _cell_coefficients).  Every
+other point, non-finite ones included, is summed by grouping n by its
+smallest prime factor (Buchstab's identity): exp at the primes, one
 prefix sum over the primes and a few hundred products per point (144
-edges at M = 1000) instead of a term per n.  The recursion needs a
-multiplicative table, a_n = a_{p^k} a_{n/p^k} for p = spf(n) and p^k ||
-n, which AnTable enforces exactly on the integers.  On both paths a
-point whose Im s has its sign bit set (-0.0 included) is evaluated as
-conj L(conj s), so conjugate symmetry is exact, the sign of zero
-included.  Neither path mixes points, so a point's result has the same
-bits for every batch size and split and at every thread count.
+edges at M = 1000) instead of a term per n.  That recursion needs a
+multiplicative table, which AnTable enforces exactly on the integers.
 """
 
 from __future__ import annotations
@@ -234,11 +221,13 @@ _CELL_BLOCK = 8192  # terms a_n n^(-s0) per block of cells: bounds each block's 
 
 
 def _taylor_degree(m: int) -> int:
-    """The smallest D with (r ln m)^(D+1) / (D+1)! * m^r <= 1e-17, r the
-    cell radius: the remainder after c_D, per unit of sum |a_n| n^(-Re s0)."""
-    x = math.sqrt(0.5) * math.log(m)  # r ln m, r = 1/sqrt(2)
+    """The smallest D with (r ln m)^(D+1) / (D+1)! * m^r <= 1e-17, r =
+    1/sqrt(2) the largest |s - s0| in a cell, which bounds the remainder
+    after c_D by 1e-17 sum |a_n| n^(-Re s0): D = 38 at m = 1000 and 45 at
+    m = 10000."""
+    x = math.sqrt(0.5) * math.log(m)  # r ln m
     degree, term = 0, math.exp(x) * x
-    while term > 1e-17:  # per unit of sum |a_n| n^(-Re s0)
+    while term > 1e-17:
         degree += 1
         term *= x / (degree + 1)
     return degree
@@ -383,8 +372,8 @@ def _cell_coefficients(table: AnTable, plan: _EvalPlan, cells: np.ndarray) -> np
     """The table's (D+1, 117) cell coefficients, degree-major (row k holds
     c_k of every cell), with every cell in `cells` built.
 
-    A cell is built once per table, under the table's lock, and never
-    changes after: c_k = sum_n a_n n^(-s0) (-ln n)^k / k!, s0 = i + j*1j.
+    A cell is built once per table, under the table's lock, by the first
+    call that needs it, and never changes after: c_k = sum_n a_n n^(-s0) (-ln n)^k / k!, s0 = i + j*1j.
     The missing cells go in blocks of max(1, _CELL_BLOCK // m): one real
     exp gives n^(-i) and one product with the plan's rows n^(-ij) gives
     n^(-s0); the parts of a_n n^(-s0) go as rows into this thread's
@@ -433,20 +422,15 @@ def eval_truncated_l_many(table: AnTable, s: np.ndarray) -> np.ndarray:
     """Vector evaluation of sum_{n<=m} a_n n^(-s); non-finite results mean
     the point escaped, they are passed through untouched.
 
-    A point with the sign bit of Im s set is evaluated as conj L(conj s),
-    on either path, so conjugate symmetry is exact, the sign of zero
-    included.  A point s with Im s >= +0.0 whose nearest centre s0 = i +
-    j*1j (np.rint per part, ties to even) has -3 <= i <= 5 and j <= 12
-    takes that Taylor cell: L_M(s) = sum_{k<=D} c_k (s - s0)^k, with D =
-    _taylor_degree(m) (38 at m = 1000, 45 at m = 10000) bounding the
-    remainder by 1e-17 sum |a_n| n^(-Re s0), since |s - s0| <= 1/sqrt(2).
-    A cell's c_k are built with the first call that has a point in it,
-    once per table under the table's lock (see _cell_coefficients), so
-    each cell has the same bits at every thread count and in every
-    order.  All the cell points of a call go together through horner,
-    res = c_D, then res = res * ds + c_k for k = D-1 .. 0 with ds = s -
-    s0, each step elementwise, so no step mixes points.  PolynomialMap
-    shares horner, so apply_map equals the batch bit for bit for every map.
+    A point with the sign bit of Im s set (-0.0 included) is evaluated as
+    conj L(conj s), on either path, so conjugate symmetry is exact, the
+    sign of zero included.  A point s with Im s >= +0.0 whose nearest
+    centre s0 = i + j*1j (np.rint per part, ties to even) has -3 <= i <= 5
+    and j <= 12 takes that Taylor cell: L_M(s) = sum_{k<=D} c_k (s - s0)^k,
+    D = _taylor_degree(m), with the c_k of _cell_coefficients.  All the
+    cell points of a call go together through horner, so no step mixes
+    points.  PolynomialMap shares horner, so apply_map equals the batch
+    bit for bit for every map.
 
     Every other point, non-finite ones included, takes the recursion.
     With G(x, i) the sum of a_n n^(-s) over the n <= x whose prime factors
@@ -468,8 +452,8 @@ def eval_truncated_l_many(table: AnTable, s: np.ndarray) -> np.ndarray:
     np.add.reduceat sums each segment of a column by itself.
 
     So the path a point takes and every bit of its result depend on the
-    point alone, the same for every block width and batch split, and a
-    block of one point is the scalar evaluation.
+    point alone: the same for every block width and batch split and at
+    every thread count, and a block of one point is the scalar evaluation.
     """
     plan = _eval_plan(table.m)
     s = np.asarray(s, complex)

@@ -24,7 +24,6 @@ from .dynamics import (
     CUMULATIVE,
     NEVER,
     DirichletMap,
-    EscapeField,
     PolynomialMap,
     ScaledExpMap,
     escape_time_field,
@@ -131,6 +130,12 @@ class RunConfig:
         False, _parse_bool, "--smoothed", action="store_const", const=True,
         help="report the exponentially smoothed L(1) instead of the raw truncation")
 
+    def __post_init__(self):
+        for f in fields(self):
+            value, must = getattr(self, f.name), f.metadata["must"]
+            if must and not must[0](value):
+                raise ConfigError(f"{f.name} must {must[1]}, got {value!r}")
+
 
 PRESETS: dict[str, dict] = {
     "sample1": {"conductor_lo": 11, "conductor_hi": 1000, "size": 30},
@@ -186,16 +191,7 @@ def build_config(
     for name, var in (("catalog_path", CATALOG_ENV), ("cache_dir", CACHE_ENV)):
         if name not in settings and environ.get(var):
             settings[name] = environ[var]
-    cfg = RunConfig(**settings)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    for f in fields(cfg):
-        value, must = getattr(cfg, f.name), f.metadata["must"]
-        if must and not must[0](value):
-            raise ConfigError(f"{f.name} must {must[1]}, got {value!r}")
+    return RunConfig(**settings)
 
 
 def load_catalog_for(cfg: RunConfig) -> list[cat.CurveRecord]:
@@ -470,16 +466,15 @@ def cmd_correlate(csv_text: str, alpha: float) -> str:
 # --- rendering -----------------------------------------------------------
 
 
-def pgm_bytes(field: EscapeField) -> bytes:
-    """Binary PGM (P5, maxval 255): never-escaping pixels are black, an
+def pgm_bytes(values: np.ndarray, k_max: int) -> bytes:
+    """Binary PGM (P5, maxval 255) of a (height, width) array of escape
+    iterates in 0..K, K = k_max: never-escaping pixels are black, an
     escape at iterate k gets gray 55 + floor(200 * (K - k) / (K - 1))."""
-    values = field.values
-    k_max = field.iterations
     if values.size and not (values.min() >= 0 and values.max() <= k_max):
         raise ValueError(f"escape iterates must lie in 0..{k_max}")
     gray = 55 + (200 * (k_max - np.arange(k_max + 1))) // max(k_max - 1, 1)
     gray[NEVER] = 0
-    header = f"P5\n{field.width} {field.height}\n255\n".encode("ascii")
+    header = f"P5\n{values.shape[1]} {values.shape[0]}\n255\n".encode("ascii")
     return header + gray.astype(np.uint8)[values].tobytes()
 
 
@@ -504,10 +499,10 @@ def cmd_render(selector: str, cfg: RunConfig, width: int, height: int, mode: str
     if width < 1 or height < 1:
         raise ConfigError(f"render size {width}x{height} must be positive")
     spec = resolve_map_selector(selector, cfg)
-    field = escape_time_field(
+    values = escape_time_field(
         spec, cfg.window, width, height, cfg.radius, cfg.iterations, mode=mode, workers=worker_count(cfg)
     )
-    return pgm_bytes(field)
+    return pgm_bytes(values, cfg.iterations)
 
 
 def cmd_nonic(label: str, cfg: RunConfig) -> list[int]:

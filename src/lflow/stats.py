@@ -115,8 +115,6 @@ def student_t_sf(t: float, df: float) -> float:
         raise ValueError("degrees of freedom must be positive and finite")
     if math.isnan(t):
         raise ValueError("t is NaN")
-    if t == 0.0:
-        return 0.5
     if t < 0.0:
         return 1.0 - student_t_sf(-t, df)
     x = df / (df + t * t)

@@ -47,6 +47,74 @@ def fixture_records(fixture_catalog_path):
     return load_catalog(fixture_catalog_path)
 
 
+# The definitional a_n oracle: an O(p^2) point count, the Hecke recursion and
+# trial factorisation, sharing no code with src/.
+
+
+def oracle_counts(a, p):
+    """Independent enumeration of smooth/singular affine points mod p."""
+    a1, a2, a3, a4, a6 = (x % p for x in a)
+    smooth = 0
+    singular = []
+    for x in range(p):
+        for y in range(p):
+            lhs = (y * y + a1 * x * y + a3 * y) % p
+            rhs = (x**3 + a2 * x * x + a4 * x + a6) % p
+            if lhs != rhs:
+                continue
+            dy = (2 * y + a1 * x + a3) % p
+            dx = (3 * x * x + 2 * a2 * x + a4 - a1 * y) % p
+            if dy == 0 and dx == 0:
+                singular.append((x, y))
+            else:
+                smooth += 1
+    return smooth, singular
+
+
+def oracle_ap(a, p, conductor):
+    smooth, singular = oracle_counts(a, p)
+    if conductor % p:
+        assert not singular
+        return p + 1 - (smooth + 1)
+    return p - (smooth + 1)
+
+
+def oracle_an(a, conductor, m):
+    """Definitional coefficients: a_p by counting, Hecke recursion at prime
+    powers, multiplicativity elsewhere. No sieves, no sharing with src/."""
+    coeffs = [0] * (m + 1)
+    coeffs[1] = 1
+
+    def factorize(n):
+        out = {}
+        d = 2
+        while d * d <= n:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+            d += 1
+        if n > 1:
+            out[n] = out.get(n, 0) + 1
+        return out
+
+    ap_cache = {}
+    for n in range(2, m + 1):
+        fac = factorize(n)
+        val = 1
+        for p, e in fac.items():
+            if p not in ap_cache:
+                ap_cache[p] = oracle_ap(a, p, conductor)
+            ap = ap_cache[p]
+            powers = [1, ap]
+            good = conductor % p != 0
+            while len(powers) <= e:
+                nxt = ap * powers[-1] - (p * powers[-2] if good else 0)
+                powers.append(nxt)
+            val *= powers[e]
+        coeffs[n] = val
+    return tuple(coeffs[1:])
+
+
 def multiplicative_coefficients(m, prime_power_value):
     """(a_1, ..., a_m) with a_q = prime_power_value(q) at each prime power
     q, asked in ascending order, and a_n = a_q a_{n/q} for q = p^k || n,

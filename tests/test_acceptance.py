@@ -38,7 +38,7 @@ from lflow.pipeline import (
 )
 from lflow.stats import average_ranks, spearman_rho, student_t_sf
 
-from conftest import FIXTURE_CATALOG
+from conftest import FIXTURE_CATALOG, oracle_an
 
 
 def _line(ok: bool, num: int, detail: str) -> bool:
@@ -47,54 +47,6 @@ def _line(ok: bool, num: int, detail: str) -> bool:
 
 
 # ------------------------------------------------------------- criterion 1
-
-
-def _oracle_ap(a, p, conductor):
-    a1, a2, a3, a4, a6 = (x % p for x in a)
-    smooth = 0
-    singular = 0
-    for x in range(p):
-        for y in range(p):
-            if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % p:
-                continue
-            dy = (2 * y + a1 * x + a3) % p
-            dx = (3 * x * x + 2 * a2 * x + a4 - a1 * y) % p
-            if dx == 0 and dy == 0:
-                singular += 1
-            else:
-                smooth += 1
-    if conductor % p:
-        assert singular == 0
-        return p + 1 - (smooth + 1)
-    return p - (smooth + 1)
-
-
-def _oracle_an_upto(a, conductor, m):
-    def factorize(n):
-        f = {}
-        d = 2
-        while d * d <= n:
-            while n % d == 0:
-                f[d] = f.get(d, 0) + 1
-                n //= d
-            d += 1
-        if n > 1:
-            f[n] = f.get(n, 0) + 1
-        return f
-
-    ap = {}
-    out = [0, 1]
-    for n in range(2, m + 1):
-        val = 1
-        for p, e in factorize(n).items():
-            if p not in ap:
-                ap[p] = _oracle_ap(a, p, conductor)
-            seq = [1, ap[p]]
-            while len(seq) <= e:
-                seq.append(ap[p] * seq[-1] - (p * seq[-2] if conductor % p else 0))
-            val *= seq[e]
-        out.append(val)
-    return tuple(out[1:])
 
 
 def test_criterion_1_coefficient_oracle_equivalence():
@@ -110,7 +62,7 @@ def test_criterion_1_coefficient_oracle_equivalence():
     for label, a in curves.items():
         n = split_label(label)[0]
         got = build_an_table(a, n, 100, label).coefficients
-        want = _oracle_an_upto(a, n, 100)
+        want = oracle_an(a, n, 100)
         if got != want:
             bad.append(label)
     elapsed = time.monotonic() - t0
@@ -353,7 +305,7 @@ def test_criterion_8_rendering_sanity():
     mismatches = []
     for name, (spec, win, radius) in maps.items():
         field = escape_time_field(spec, win, 16, 16, radius, 8)
-        if not np.array_equal(field.values, _per_pixel_oracle(spec, win, 16, 16, radius, 8)):
+        if not np.array_equal(field, _per_pixel_oracle(spec, win, 16, 16, radius, 8)):
             mismatches.append(name)
     # conjugate symmetry: reflect the window across the real axis
     sym_ok = True
@@ -361,7 +313,7 @@ def test_criterion_8_rendering_sanity():
         spec, (re0, re1, im0, im1), radius = maps[name]
         up = escape_time_field(spec, (re0, re1, 0.25, 2.25), 16, 16, radius, 8)
         dn = escape_time_field(spec, (re0, re1, -2.25, -0.25), 16, 16, radius, 8)
-        sym_ok = sym_ok and np.array_equal(up.values, dn.values[::-1, :])
+        sym_ok = sym_ok and np.array_equal(up, dn[::-1, :])
     ok = not mismatches and sym_ok
     assert _line(
         ok,

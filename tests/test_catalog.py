@@ -220,7 +220,7 @@ def trial_division_squarefree(n):
 
 
 def test_is_squarefree_against_trial_division():
-    for n in range(1, 3000):
+    for n in range(1, 60001):  # sample3's conductor range
         assert is_squarefree(n) == trial_division_squarefree(n), n
 
 

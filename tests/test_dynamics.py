@@ -204,8 +204,8 @@ def python_field_oracle(spec, window, width, height, radius, iterations, mode=CU
 def test_field_matches_per_pixel_oracle_square_map():
     f = PolynomialMap([0, 0, 1])
     field = escape_time_field(f, (-2, 2, -2, 2), 16, 12, 4.0, 8)
-    assert field.values.shape == (12, 16)
-    assert np.array_equal(field.values, python_field_oracle(f, (-2, 2, -2, 2), 16, 12, 4.0, 8))
+    assert field.shape == (12, 16)
+    assert np.array_equal(field, python_field_oracle(f, (-2, 2, -2, 2), 16, 12, 4.0, 8))
 
 
 def test_field_matches_per_pixel_oracle_dirichlet():
@@ -213,7 +213,7 @@ def test_field_matches_per_pixel_oracle_dirichlet():
     f = DirichletMap(t)
     win = (-1.5, 4.5, 0.0, 12.0)
     field = escape_time_field(f, win, 10, 8, 1e5, 6)
-    assert np.array_equal(field.values, python_field_oracle(f, win, 10, 8, 1e5, 6))
+    assert np.array_equal(field, python_field_oracle(f, win, 10, 8, 1e5, 6))
 
 
 def test_field_row_zero_is_top_of_window():
@@ -223,9 +223,9 @@ def test_field_row_zero_is_top_of_window():
     field = escape_time_field(f, (0, 1, 0, 1), 2, 2, 3.5, 4)
     seeds_top = complex(0.25, 0.75)
     seeds_bot = complex(0.25, 0.25)
-    assert field.values[0, 0] == escape_iterate(f, seeds_top, 3.5, 4)
-    assert field.values[1, 0] == escape_iterate(f, seeds_bot, 3.5, 4)
-    assert field.values[1, 0] < field.values[0, 0] or field.values[0, 0] == NEVER
+    assert field[0, 0] == escape_iterate(f, seeds_top, 3.5, 4)
+    assert field[1, 0] == escape_iterate(f, seeds_bot, 3.5, 4)
+    assert field[1, 0] < field[0, 0] or field[0, 0] == NEVER
 
 
 def test_field_final_mode_matches_oracle():
@@ -234,16 +234,16 @@ def test_field_final_mode_matches_oracle():
     win = (-35, -25, -1, 1)
     a = escape_time_field(f, win, 6, 4, 1e5, 5, mode=FINAL)
     b = python_field_oracle(f, win, 6, 4, 1e5, 5, mode=FINAL)
-    assert np.array_equal(a.values, b)
+    assert np.array_equal(a, b)
 
 
 def test_field_values_read_only_and_deterministic():
     f = PolynomialMap([0, 0, 1])
     f1 = escape_time_field(f, (-2, 2, -2, 2), 8, 8, 4.0, 6)
     f2 = escape_time_field(f, (-2, 2, -2, 2), 8, 8, 4.0, 6)
-    assert f1.values.tobytes() == f2.values.tobytes()
+    assert f1.tobytes() == f2.tobytes()
     with pytest.raises((ValueError, RuntimeError)):
-        f1.values[0, 0] = 9
+        f1[0, 0] = 9
 
 
 def test_field_conjugate_window_mirror_symmetry():
@@ -253,7 +253,7 @@ def test_field_conjugate_window_mirror_symmetry():
     f = DirichletMap(t)
     upper = escape_time_field(f, (-1.0, 3.0, 0.5, 6.5), 12, 10, 1e4, 6)
     lower = escape_time_field(f, (-1.0, 3.0, -6.5, -0.5), 12, 10, 1e4, 6)
-    assert np.array_equal(upper.values, lower.values[::-1, :])
+    assert np.array_equal(upper, lower[::-1, :])
 
 
 def test_window_validation():
@@ -511,7 +511,7 @@ def fields_to_split(draw):
 @example((PolynomialMap([0.25, 0, 1]), (-2.0, 2.0, -2.0, 2.0), 3, 1, 4.0, 8, CUMULATIVE))
 def test_property_field_same_for_every_worker_count(run):
     spec, window, width, height, radius, iterations, mode = run
-    one = escape_time_field(spec, window, width, height, radius, iterations, mode).values
+    one = escape_time_field(spec, window, width, height, radius, iterations, mode)
     sizes = []  # seeds per _iterate call; list.append is atomic across the pool's threads
 
     def counted(spec, z0, *rest):
@@ -525,5 +525,5 @@ def test_property_field_same_for_every_worker_count(run):
                 sizes.clear()
                 split = escape_time_field(spec, window, width, height, radius, iterations, mode,
                                           workers=workers)
-                assert np.array_equal(split.values, one), (block, workers)
+                assert np.array_equal(split, one), (block, workers)
                 assert sum(sizes) == width * height and max(sizes) <= block, (block, workers)

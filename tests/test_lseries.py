@@ -1,8 +1,8 @@
 """Point counting, Frobenius traces, coefficient tables, series evaluation.
 
-The oracle here is deliberately primitive: an independent O(p^2) point count
-written inline plus the definitional Euler-product recursion, sharing no code
-with src/.  Everything else must agree with it.  At primes too large for the
+The oracle here is deliberately primitive: the independent O(p^2) point count
+and definitional Euler-product recursion of conftest, sharing no code with
+src/.  Everything else must agree with it.  At primes too large for the
 O(p^2) count, an O(p) Euler-criterion count in Python ints stands in.
 """
 
@@ -56,75 +56,11 @@ from conftest import (
     CURVE_37A1,
     CURVE_389A1,
     multiplicative_coefficients,
+    oracle_an,
+    oracle_ap,
+    oracle_counts,
     zeta_table,
 )
-
-
-# ----------------------------------------------------------------- the oracle
-
-
-def oracle_counts(a, p):
-    """Independent enumeration of smooth/singular affine points mod p."""
-    a1, a2, a3, a4, a6 = (x % p for x in a)
-    smooth = 0
-    singular = []
-    for x in range(p):
-        for y in range(p):
-            lhs = (y * y + a1 * x * y + a3 * y) % p
-            rhs = (x**3 + a2 * x * x + a4 * x + a6) % p
-            if lhs != rhs:
-                continue
-            dy = (2 * y + a1 * x + a3) % p
-            dx = (3 * x * x + 2 * a2 * x + a4 - a1 * y) % p
-            if dy == 0 and dx == 0:
-                singular.append((x, y))
-            else:
-                smooth += 1
-    return smooth, singular
-
-
-def oracle_ap(a, p, conductor):
-    smooth, singular = oracle_counts(a, p)
-    if conductor % p:
-        assert not singular
-        return p + 1 - (smooth + 1)
-    return p - (smooth + 1)
-
-
-def oracle_an(a, conductor, m):
-    """Definitional coefficients: a_p by counting, Hecke recursion at prime
-    powers, multiplicativity elsewhere. No sieves, no sharing with src/."""
-    coeffs = [0] * (m + 1)
-    coeffs[1] = 1
-
-    def factorize(n):
-        out = {}
-        d = 2
-        while d * d <= n:
-            while n % d == 0:
-                out[d] = out.get(d, 0) + 1
-                n //= d
-            d += 1
-        if n > 1:
-            out[n] = out.get(n, 0) + 1
-        return out
-
-    ap_cache = {}
-    for n in range(2, m + 1):
-        fac = factorize(n)
-        val = 1
-        for p, e in fac.items():
-            if p not in ap_cache:
-                ap_cache[p] = oracle_ap(a, p, conductor)
-            ap = ap_cache[p]
-            powers = [1, ap]
-            good = conductor % p != 0
-            while len(powers) <= e:
-                nxt = ap * powers[-1] - (p * powers[-2] if good else 0)
-                powers.append(nxt)
-            val *= powers[e]
-        coeffs[n] = val
-    return tuple(coeffs[1:])
 
 
 # -------------------------------------------------------------- point counts

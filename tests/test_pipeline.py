@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from lflow import cli, pipeline
 from lflow.catalog import SamplePlan
-from lflow.dynamics import FINAL, NEVER, EscapeField, Window, escape_iterate, escape_time_field
+from lflow.dynamics import FINAL, NEVER, Window, escape_iterate, escape_time_field
 from lflow.errors import CacheError, ConfigError, ConsistencyError, LflowError, UndefinedCorrelationError
 from lflow.lseries import AnTable, build_an_table
 from lflow.pipeline import (
@@ -189,7 +189,26 @@ def test_config_validation():
     assert build_config(flag_overrides={"bad_prime": 2}, environ={}).bad_prime == 2
 
 
-PSI_12 = 318665857834031151167461  # the least strong pseudoprime to the twelve prime bases 2..37
+def test_run_config_is_valid_by_construction():
+    # built directly or by dataclasses.replace, a config checks itself as build_config does
+    cases = [
+        (lambda: RunConfig(threads=-1), "threads must be >= 0, got -1"),
+        (lambda: RunConfig(m=0), "m must be >= 1, got 0"),
+        (lambda: RunConfig(bad_prime=4), "bad_prime must be a prime >= 2, got 4"),
+        (lambda: RunConfig(window=(1.0, 0.0, 0.0, 1.0)),
+         "window must have RE_MIN < RE_MAX and IM_MIN < IM_MAX and a finite width and height, "
+         "got (1.0, 0.0, 0.0, 1.0)"),
+        (lambda: replace(RunConfig(), alpha=1.0), "alpha must lie strictly between 0 and 1, got 1.0"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert str(exc.value) == message
+    for name, preset in PRESETS.items():
+        assert RunConfig(**preset) == build_config(preset=name, environ={}), name
+
+
+PSI_12 =318665857834031151167461  # the least strong pseudoprime to the twelve prime bases 2..37
 
 
 def test_bad_prime_is_decided_by_miller_rabin_and_bounded(capsys):
@@ -644,8 +663,7 @@ def test_report_block_round_trip():
 def test_pgm_bytes_header_and_ramp():
     values = np.array([[NEVER, 1, 5], [10, 3, NEVER]], dtype=np.int32)
     values.setflags(write=False)
-    field = EscapeField(values, 10)
-    data = pgm_bytes(field)
+    data = pgm_bytes(values, 10)
     assert data.startswith(b"P5\n3 2\n255\n")
     pix = data[len(b"P5\n3 2\n255\n") :]
     assert len(pix) == 6
@@ -659,8 +677,7 @@ def test_pgm_bytes_header_and_ramp():
 def test_pgm_single_iteration_guard():
     values = np.array([[NEVER, 1]], dtype=np.int32)
     values.setflags(write=False)
-    field = EscapeField(values, 1)
-    data = pgm_bytes(field)
+    data = pgm_bytes(values, 1)
     assert data.endswith(bytes([0, 55]))
 
 
@@ -669,17 +686,16 @@ def test_pgm_single_iteration_guard():
 def test_property_pgm_matches_per_pixel_formula(k_max, width, height, seed):
     rng = np.random.default_rng(seed)
     values = rng.integers(0, k_max + 1, size=(height, width), dtype=np.int32)
-    field = EscapeField(values, k_max)
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     want = bytes(0 if v == NEVER else 55 + 200 * (k_max - v) // max(k_max - 1, 1) for v in values.flat)
-    assert pgm_bytes(field) == header + want
+    assert pgm_bytes(values, k_max) == header + want
 
 
 def test_pgm_rejects_values_outside_zero_to_k():
     for bad in (-1, 11, -300, 2**31 - 1):
         values = np.array([[NEVER, 1], [bad, 10]], dtype=np.int32)
         with pytest.raises(ValueError):
-            pgm_bytes(EscapeField(values, 10))
+            pgm_bytes(values, 10)
 
 
 def test_render_zeta_matches_field_oracle(fixture_catalog_path, tmp_path):
@@ -1026,8 +1042,8 @@ def test_cli_render_escape_modes(fixture_catalog_path, tmp_path):
                                        "cache_dir": str(tmp_path / "cache")}, environ={})
     spec = resolve_map_selector("11a1", cfg)
     for mode in ("cumulative", "final"):
-        field = escape_time_field(spec, cfg.window, 24, 18, cfg.radius, cfg.iterations, mode=mode)
-        assert images[mode] == pgm_bytes(field) == cmd_render("11a1", cfg, 24, 18, mode), mode
+        values = escape_time_field(spec, cfg.window, 24, 18, cfg.radius, cfg.iterations, mode=mode)
+        assert images[mode] == pgm_bytes(values, cfg.iterations) == cmd_render("11a1", cfg, 24, 18, mode), mode
     assert images["default"] == images["cumulative"] != images["final"]
     # in final mode a pixel escapes at K or never
     assert set(images["final"][len(b"P5\n24 18\n255\n"):]) <= {0, 55}

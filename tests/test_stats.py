@@ -103,7 +103,9 @@ def test_spearman_rejects_degenerate_input():
 
 
 def test_t_sf_fixed_points():
-    assert student_t_sf(0.0, 5) == 0.5
+    for df in (0.5, *range(1, 401), 2.5, 10**6):
+        for t in (0.0, -0.0):
+            assert student_t_sf(t, df) == 0.5, (t, df)
     # Cauchy: sf(1) = 1/4 exactly
     assert student_t_sf(1.0, 1) == pytest.approx(0.25, abs=1e-14)
     assert student_t_sf(-1.0, 1) == pytest.approx(0.75, abs=1e-14)
