@@ -11,7 +11,6 @@ from lflow.lseries import (
     build_an_table,
     eval_truncated_l,
     l_at_one,
-    sigma0_sqrt_bound,
     smoothed_l_at_one,
     trace_of_frobenius,
 )
@@ -29,7 +28,8 @@ for p in (2, 3, 5, 7, 11, 13):
 table = build_an_table(rec.a_invariants, rec.conductor, 1000, rec.label)
 print(f"\nfirst ten a_n: {table.coefficients[:10]}")
 
-worst = max(abs(a) / sigma0_sqrt_bound(n) for n, a in enumerate(table.coefficients, 1))
+sigma0 = [sum(n % d == 0 for d in range(1, n + 1)) for n in range(1, table.m + 1)]
+worst = max(abs(a) / (s0 * math.sqrt(n)) for n, (a, s0) in enumerate(zip(table.coefficients, sigma0), 1))
 print(f"divisor bound |a_n| <= sigma0(n) sqrt(n): worst ratio {worst:.3f} (must be <= 1)")
 
 print(f"\ntruncated L(1)  (M=1000): {l_at_one(table):+.12f}")

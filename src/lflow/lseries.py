@@ -6,10 +6,16 @@ equation mod p, at good and bad primes alike.  The reduction type is read
 off the discriminant, not off the points: the cubic is singular mod p
 exactly when p | disc, and it then has exactly one singular point, an
 affine one (Silverman, The Arithmetic of Elliptic Curves, Prop. III.1.4
-and III.2.5).  A batch of curves is counted together, one prime at a
-time, from the completed-square cubic g(x) at every x, one row per curve,
-and the Legendre table mod p (see _point_counts).  Coefficients extend to
-all n <= M through the Hecke recursion at prime powers plus multiplicativity.
+and III.2.5).  A batch of curves is counted in chunks of whole rows, one
+row per curve, with at most _COUNT_BLOCK values of the cubic per chunk, so
+the working set does not grow with the batch.  Each curve's
+completed-square cubic g(x) is evaluated once per build, as exact int64
+integers at every x below the largest prime, and every prime reduces
+those rows mod p and reads the Legendre table mod p (see _cubics and
+_point_counts).  Where the cubic could pass 2^63 (primes above 1.3e6 or
+a-invariants near 10^18), the int64 bound sends the chunk to a per-prime
+evaluation reduced mod p as it goes.  Coefficients extend to all n <= M
+through the Hecke recursion at prime powers plus multiplicativity.
 
 The truncated series L_M(s) = sum_{n<=M} a_n n^(-s) is evaluated in
 complex float64 on one of two paths, chosen by the point alone (see
@@ -66,43 +72,65 @@ class AnTable:
         return AnTable, (self.label, self.conductor, self.m, self.coefficients, self.a_invariants)
 
 
-_COUNT_BLOCK = 16384  # values of g per pass, in whole rows and at least one: bounds the count's working set
+_COUNT_BLOCK = 131072  # values of the cubic per chunk of models, one row at least: bounds the count's working set
 
 
-def _point_counts(models: list, p: int) -> list[int]:
-    """N_p of every model at p, all counted at once.  For odd p, (2y + a1*x +
-    a3)^2 = g(x) = 4x^3 + b2*x^2 + 2*b4*x + b6 has 1 + chi(g(x)) roots y, chi
-    the Legendre symbol, so N_p = p + sum_x chi(g(x)).  Each model is a row
-    of g over x with a scalar p, by Horner's rule reduced mod p after the
-    quadratic step and at the end, so every intermediate stays below 5p^2:
-    int32 when that is below 2^31, else int64 (exact for p below 1.3e9).  A
-    pass covers as many whole rows as fit in _COUNT_BLOCK values of g, or
-    above p = _COUNT_BLOCK one row of p values, as long as the table chi."""
+class _Cubics(NamedTuple):
+    """A chunk of models' cubics, evaluated once for every prime of a build (see _cubics)."""
+
+    values: np.ndarray  # (models, top) int64: G(x) = 4x^3 + b2*x^2 + 2*b4*x + b6 at 0 <= x < top, exact
+    squares: np.ndarray  # x^2 at 0 <= x < (top + 1) // 2, int64
+
+
+def _cubics(models: list, top: int) -> _Cubics | None:
+    """Each model's cubic G at every x < top, by Horner's rule with no
+    reduction, or None when a value could leave int64.  Checked in Python
+    ints: every intermediate lies within B = 4X^3 + |b2|X^2 + 2|b4|X + |b6|,
+    X = top - 1, and reducing G mod p <= top subtracts a multiple of p in
+    (G - p, G], so B < 2^63 - top keeps every step exact."""
+    b = [b_invariants(a)[:3] for a in models]
+    x_max = top - 1
+    if max(4 * x_max**3 + abs(b2) * x_max**2 + 2 * abs(b4) * x_max + abs(b6) for b2, b4, b6 in b) >= 2**63 - top:
+        return None
+    b2, b4, b6 = np.array(b, dtype=np.int64).T[:, :, None]
+    x = np.arange(top, dtype=np.int64)
+    values = horner(np.full((len(models), 1), 4, dtype=np.int64), (b2, 2 * b4, b6), x)
+    return _Cubics(values, x[: (top + 1) // 2] ** 2)
+
+
+def _point_counts(models: list, p: int, cubics: _Cubics | None = None) -> list[int]:
+    """N_p of every model at p, all counted at once, in one pass whose rows
+    the caller bounds (see build_an_tables).  For odd p, (2y + a1*x + a3)^2
+    = g(x) = 4x^3 + b2*x^2 + 2*b4*x + b6 has 1 + chi(g(x)) roots y, chi the
+    Legendre symbol, so N_p = p + sum_x chi(g(x)).  Each model is a row of
+    g over x < p.  Given the models' cubics (top >= p), a row is their G
+    reduced mod p, G - G // p * p.  Otherwise g is evaluated at p by
+    Horner's rule reduced mod p after the quadratic step and at the end,
+    so every intermediate stays below 5p^2 whatever the a-invariants:
+    int32 when that is below 2^31, else int64 (exact for p below 1.3e9).
+    chi is read from an int8 table mod p, set from the squares of x < p/2."""
     if p == 2:  # the four (x, y) pairs, where x^3 = x^2 = x and y^2 = y
         return [sum((y * (1 + a1 * x + a3) + x * (1 + a2 + a4) + a6) % 2 == 0 for x in (0, 1) for y in (0, 1))
                 for a1, a2, a3, a4, a6 in models]
-    dtype = np.int32 if 5 * p * p < 2**31 else np.int64
-    b = np.array([(b2 % p, 2 * b4 % p, b6 % p) for b2, b4, b6, _ in map(b_invariants, models)],
-                 dtype=dtype).reshape(-1, 3, 1).transpose(1, 0, 2)
-    squares = np.arange(1, (p + 1) // 2, dtype=dtype) ** 2
-    squares -= squares // p * p
-    chi = np.full(p, -1)
-    chi[squares.astype(np.intp)] = 1
-    chi[0] = 0
-    x = np.arange(p, dtype=dtype)
-    rows = max(1, _COUNT_BLOCK // p)
-    counts = []
-    for top in range(0, len(models), rows):
-        b2, b4, b6 = b[:, top : top + rows]
+    if cubics is None:
+        dtype = np.int32 if 5 * p * p < 2**31 else np.int64
+        b2, b4, b6 = np.array([(b2 % p, 2 * b4 % p, b6 % p) for b2, b4, b6, _ in map(b_invariants, models)],
+                              dtype=dtype).T[:, :, None]
+        x = np.arange(p, dtype=dtype)
         g = 4 * x + b2
         g *= x
         g += b4
         g -= g // p * p
         g *= x
         g += b6
-        g -= g // p * p
-        counts += (p + chi[g.astype(np.intp)].sum(axis=1)).tolist()
-    return counts
+        squares = x[: (p + 1) // 2] ** 2
+    else:
+        g, squares = cubics.values[:, :p], cubics.squares[: (p + 1) // 2]
+    g = g - g // p * p
+    chi = np.full(p, -1, dtype=np.int8)
+    chi[squares - squares // p * p] = 1
+    chi[0] = 0
+    return (p + chi[g.astype(np.intp, copy=False)].sum(axis=1)).tolist()
 
 
 def _check_reduction(p: int, conductor: int, disc: int) -> None:
@@ -173,9 +201,11 @@ def build_an_tables(curves: list[tuple], m: int) -> list[AnTable]:
     """The tables a_1 .. a_m of (a-invariants, conductor, label) curves.  Each
     curve in order is checked at every prime (_check_reduction), so the first
     inconsistent one raises what it raises alone, before any point is counted.
-    Then one pass over the primes counts all curves at once: traces at primes,
-    Hecke recursion at prime powers (the p*a_{p^{k-1}} term dropped at bad
-    primes), multiplicative across coprime factors."""
+    Then each chunk of curves (_COUNT_BLOCK values of the cubic, one row at
+    least) has its cubics evaluated once (_cubics) and is counted at every
+    prime: traces at primes, Hecke recursion at prime powers (the
+    p*a_{p^{k-1}} term dropped at bad primes), multiplicative across coprime
+    factors."""
     if m < 1:
         raise ValueError("m must be >= 1")
     primes = _sieve(m).primes
@@ -183,16 +213,20 @@ def build_an_tables(curves: list[tuple], m: int) -> list[AnTable]:
         disc = discriminant(a)
         for p in primes:
             _check_reduction(p, conductor, disc)
-    models = [a for a, _, _ in curves]
     coeffs = [[0, 1] + [0] * (m - 1) for _ in curves]
-    for p in primes:
-        for (_, conductor, _), c, n_p in zip(curves, coeffs, _point_counts(models, p)):
-            a_p = _trace(n_p, p, conductor)
-            prev, cur, q = 1, a_p, p  # a_{p^0}, a_{p^1}
-            while q <= m:
-                c[q] = cur
-                prev, cur = cur, a_p * cur - (p * prev if conductor % p else 0)
-                q *= p
+    top = max(primes, default=2)
+    rows = max(1, _COUNT_BLOCK // top)
+    for start in range(0, len(curves), rows):
+        models, conductors, _ = zip(*curves[start : start + rows])
+        chunk, cubics = coeffs[start : start + rows], _cubics(models, top)
+        for p in primes:
+            for conductor, c, n_p in zip(conductors, chunk, _point_counts(models, p, cubics)):
+                a_p = _trace(n_p, p, conductor)
+                prev, cur, q = 1, a_p, p  # a_{p^0}, a_{p^1}
+                while q <= m:
+                    c[q] = cur
+                    prev, cur = cur, a_p * cur - (p * prev if conductor % p else 0)
+                    q *= p
     for c in coeffs:
         for n, q, rest in _coprime_splits(m):
             c[n] = c[q] * c[rest]
@@ -202,11 +236,6 @@ def build_an_tables(curves: list[tuple], m: int) -> list[AnTable]:
 def build_an_table(a: AInvariants, conductor: int, m: int, label: str = "") -> AnTable:
     """build_an_tables for one curve."""
     return build_an_tables([(a, conductor, label)], m)[0]
-
-
-def sigma0_sqrt_bound(n: int) -> float:
-    """sigma_0(n) * sqrt(n), the coefficient size bound."""
-    return sum(n % d == 0 for d in range(1, n + 1)) * math.sqrt(n)
 
 
 _EVAL_CHUNK = 128  # points per recursion block: bounds the working set; a point owns a column, so no bit moves

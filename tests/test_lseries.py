@@ -14,6 +14,7 @@ import pickle
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -34,6 +35,7 @@ from lflow.lseries import (
     _eval_plan,
     _build_eval_plan,
     _coprime_splits,
+    _cubics,
     _point_counts,
     _sieve,
     _taylor_degree,
@@ -42,7 +44,6 @@ from lflow.lseries import (
     eval_truncated_l,
     eval_truncated_l_many,
     l_at_one,
-    sigma0_sqrt_bound,
     smoothed_l_at_one,
     trace_of_frobenius,
 )
@@ -186,8 +187,7 @@ def test_fast_count_matches_euler_oracle_at_large_primes(p):
         assert count_points(a, p) == smooth + len(singular), a
 
 
-# 5p^2 < 2^31 up to p = 20719, so 20717 counts in int32 and 20731 in int64;
-# 8191 and 20717 exceed the rows or the width of one pass of _COUNT_BLOCK
+# 5p^2 < 2^31 up to p = 20719, so 20717 counts in int32 and 20731 in int64
 BATCH_PRIMES = [3, 5, 7, 11, 97, 997, 8191, 20717, 20731]
 
 
@@ -368,7 +368,10 @@ def test_property_batched_tables_equal_one_at_a_time_builds(fixture_records, dat
     picks += data.draw(st.lists(st.sampled_from(picks), max_size=4))  # repeats
     picks = data.draw(st.permutations(picks))
     curves = [(r.a_invariants, r.conductor, r.label) for r in picks]
-    assert build_an_tables(curves, m) == [build_an_table(a, n, m, label) for a, n, label in curves]
+    tables = build_an_tables(curves, m)
+    assert tables == [build_an_table(a, n, m, label) for a, n, label in curves]
+    with mock.patch.object(lseries, "_COUNT_BLOCK", 1):  # one curve per chunk, so a batch of two spans two chunks
+        assert build_an_tables(curves, m) == tables
 
 
 def test_batched_tables_raise_the_first_inconsistent_curve_in_order():
@@ -390,7 +393,7 @@ def test_batched_tables_raise_the_first_inconsistent_curve_in_order():
 
 def test_batched_tables_check_every_curve_before_counting(fixture_records, monkeypatch):
     counted = []
-    monkeypatch.setattr(lseries, "_point_counts", lambda models, p: counted.append(p))
+    monkeypatch.setattr(lseries, "_point_counts", lambda models, p, cubics=None: counted.append(p))
     good = [(r.a_invariants, r.conductor, r.label) for r in fixture_records[:20]]
     bad = (CURVE_11A1, 11 * 997, "10967a1")  # smooth at 997, the last prime below 1000
     with pytest.raises(ConsistencyError, match="p=997 divides the conductor"):
@@ -426,6 +429,36 @@ def test_property_batch_raises_what_its_first_inconsistent_curve_raises(fixture_
     with pytest.raises(ConsistencyError) as batched:
         build_an_tables(batch, m)
     assert str(batched.value) == str(alone.value)
+
+
+@st.composite
+def model_with_conductor(draw, m):
+    """(a-invariants, conductor, fits): a small model, or one with |a4|, |a6|
+    >= 10^18 whose cubic passes 2^63 at x = 2 already.  The conductor is
+    the product of the primes <= m that divide the discriminant, so every
+    prime of a table of length m passes _check_reduction."""
+    small = st.integers(-20, 20)
+    large = st.integers(10**18, 10**20).flatmap(lambda v: st.sampled_from([v, -v]))
+    fits = draw(st.booleans())
+    a = tuple(draw(small if fits or i < 3 else large) for i in range(5))
+    disc = discriminant(a)
+    return a, math.prod(p for p in _sieve(m).primes if disc % p == 0), fits
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.sampled_from([3, 12, 60, 100]))
+def test_property_tables_equal_the_oracle_on_both_sides_of_the_int64_bound(data, m):
+    curves = data.draw(st.lists(model_with_conductor(m), min_size=1, max_size=4))
+    top = _sieve(m).primes[-1]
+    for a, _, fits in curves:  # _cubics gives up exactly on the large models
+        assert (_cubics([a], top) is not None) == fits, a
+    tables = build_an_tables([(a, n, "") for a, n, _ in curves], m)
+    assert [t.coefficients for t in tables] == [oracle_an(a, n, m) for a, n, _ in curves]
+
+
+def sigma0_sqrt_bound(n):
+    """sigma_0(n) * sqrt(n), the coefficient size bound."""
+    return sum(n % d == 0 for d in range(1, n + 1)) * math.sqrt(n)
 
 
 def test_an_table_divisor_bound(fixture_records):
